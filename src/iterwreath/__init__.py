@@ -16,16 +16,12 @@ from .treegroup import (
     beta,
     beta_product,
     beta_product_descending,
-    conjugate,
     embed_to,
-    enumerate_subgroup,
     factorize,
     full_group,
     group_order,
     hat_embed,
     identity,
-    inverse,
-    multiply,
     perm_embed,
 )
 from .algebra import AlgebraElement, Orbit, centralizes, class_sum, orbit, orbit_sum
@@ -55,7 +51,6 @@ from .endo import (
     TensorBasisElement,
     conj_action_tensor,
     d_generator_table,
-    d_generators,
     end_ind_res_basis,
     opposite_check,
     power_table,

@@ -126,6 +126,8 @@ def _cmd_classes(args) -> Report:
 
 def _cmd_class_count(args) -> Report:
     n = args.n
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
     if n > MAX_CLASS_COUNT_LEVEL:
         raise ValueError(f"class-count capped at n = {MAX_CLASS_COUNT_LEVEL}")
     values = [structure.class_count(m) for m in range(n + 1)]
@@ -224,9 +226,7 @@ def _cmd_centralizer_basis(args) -> Report:
     all_central = all(algebra.centralizes(v, sub) for v in basis)
     closure = None
     if (n, k) == (1, 1):
-        closure = all(
-            structure.expand_in_orbit_basis(a * b, basis) is not None
-            for a in basis for b in basis)
+        closure = structure.closure_failure(basis) is None
     ok = all_central and closure is not False
     payload = {
         "base_level": n,
@@ -557,9 +557,8 @@ def _check_centralizer_basis(allow_large, rng):
         central = all(algebra.centralizes(v, sub) for v in basis)
         entry = {"dimension": len(basis), "all_centralize": central}
         if (n, k) == (1, 1):
-            entry["closed_under_product"] = all(
-                structure.expand_in_orbit_basis(a * b, basis) is not None
-                for a in basis for b in basis)
+            entry["closed_under_product"] = (
+                structure.closure_failure(basis) is None)
             ok = ok and entry["closed_under_product"]
         ok = ok and central
         detail[f"(n={n},k={k})"] = entry
@@ -761,23 +760,38 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "center": _cmd_center,
-    "classes": _cmd_classes,
-    "class-count": _cmd_class_count,
-    "right-cosets": _cmd_right_cosets,
-    "double-cosets": _cmd_double_cosets,
-    "orbits": _cmd_orbits,
-    "centralizer-basis": _cmd_centralizer_basis,
-    "presentation": _cmd_presentation,
-    "mackey": _cmd_mackey,
-    "tensor-basis": _cmd_tensor_basis,
-    "end-basis": _cmd_end_basis,
-    "d-gens": _cmd_d_gens,
-    "power-table": _cmd_power_table,
-    "opposite-check": _cmd_opposite_check,
-    "verify-all": _cmd_verify_all,
+# name: (handler, arguments, help); "--" marks an optional flag
+_COMMANDS = {
+    "enumerate": (_cmd_enumerate, "n",
+                  "list a full level and check its order"),
+    "center": (_cmd_center, "n", "brute-force center against the closed form"),
+    "classes": (_cmd_classes, "n --allow-large",
+                "conjugacy classes against the class-count recursion"),
+    "class-count": (_cmd_class_count, "n", "class-count recursion values"),
+    "right-cosets": (_cmd_right_cosets, "n l",
+                     "verified right-coset transversal"),
+    "double-cosets": (_cmd_double_cosets, "n",
+                      "verified two-sided coset decomposition"),
+    "orbits": (_cmd_orbits, "n k --allow-large",
+               "conjugation orbits with structured labels"),
+    "centralizer-basis": (_cmd_centralizer_basis, "n k --allow-large",
+                          "orbit-sum basis of the centralizer algebra"),
+    "presentation": (_cmd_presentation, "n",
+                     "defining relations in the permutation representation"),
+    "mackey": (_cmd_mackey, "n",
+               "double-coset summand census and dimension audit"),
+    "tensor-basis": (_cmd_tensor_basis, "n k l",
+                     "tensor basis of the endomorphism bimodule"),
+    "end-basis": (_cmd_end_basis, "n k l",
+                  "orbit-sum basis of the endomorphism space"),
+    "d-gens": (_cmd_d_gens, "n m",
+               "generators of the non-central centralizer block"),
+    "power-table": (_cmd_power_table, "n max_k",
+                    "exact powers of the root-swap orbit sum"),
+    "opposite-check": (_cmd_opposite_check, "n k",
+                       "left/right composition tables are transposed"),
+    "verify-all": (_cmd_verify_all, "--allow-large --seed",
+                   "run the whole desk-scale battery"),
 }
 
 
@@ -787,55 +801,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification tables for the binary-tree "
                     "automorphism tower.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, positionals=(), allow_large=False, seed=False):
+    for name, (_, arguments, help_text) in _COMMANDS.items():
+        arguments = arguments.split()
         p = sub.add_parser(name, help=help_text)
-        for arg in positionals:
-            p.add_argument(arg, type=int)
+        for arg in arguments:
+            if not arg.startswith("--"):
+                p.add_argument(arg, type=int)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--out", default=None,
                        help="write the report to this path instead of stdout")
-        if allow_large:
+        if "--allow-large" in arguments:
             p.add_argument("--allow-large", action="store_true",
                            dest="allow_large",
                            help="unlock the level-4 exhaustive runs")
-        if seed:
+        if "--seed" in arguments:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        return p
-
-    add("enumerate", "list a full level and check its order", ["n"])
-    add("center", "brute-force center against the closed form", ["n"])
-    add("classes", "conjugacy classes against the class-count recursion",
-        ["n"], allow_large=True)
-    add("class-count", "class-count recursion values", ["n"])
-    add("right-cosets", "verified right-coset transversal", ["n", "l"])
-    add("double-cosets", "verified two-sided coset decomposition", ["n"])
-    add("orbits", "conjugation orbits with structured labels",
-        ["n", "k"], allow_large=True)
-    add("centralizer-basis", "orbit-sum basis of the centralizer algebra",
-        ["n", "k"], allow_large=True)
-    add("presentation", "defining relations in the permutation representation",
-        ["n"])
-    add("mackey", "double-coset summand census and dimension audit", ["n"])
-    add("tensor-basis", "tensor basis of the endomorphism bimodule",
-        ["n", "k", "l"])
-    add("end-basis", "orbit-sum basis of the endomorphism space",
-        ["n", "k", "l"])
-    add("d-gens", "generators of the non-central centralizer block",
-        ["n", "m"])
-    add("power-table", "exact powers of the root-swap orbit sum",
-        ["n", "max_k"])
-    add("opposite-check", "left/right composition tables are transposed",
-        ["n", "k"])
-    add("verify-all", "run the whole desk-scale battery", [],
-        allow_large=True, seed=True)
     return parser
 
 
 def dispatch(args) -> Report:
     started = time.perf_counter()
-    report = _HANDLERS[args.command](args)
+    report = _COMMANDS[args.command][0](args)
     report.timing_ms = (time.perf_counter() - started) * 1000.0
     return report
 

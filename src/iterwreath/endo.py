@@ -10,6 +10,7 @@ the coset structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from .structure import (
     VerificationError,
     centralizer_algebra_basis,
     class_count,
+    closure_failure,
     conjugacy_classes,
     coset_rep_pairs,
     expand_in_orbit_basis,
@@ -93,6 +95,20 @@ def tensor_basis(n: int, k: int, l: int):
     return out
 
 
+def _renormalize(left: TreeAutomorphism, right: TreeAutomorphism,
+                 base_level: int):
+    """The tensor left (x) right renormalized through the coset transversal.
+
+    Returns (tensor, factorization of right); the factorization's base part
+    is the prefix that crossed into the left factor.
+    """
+    split = factorize(right, base_level)
+    chain = math.prod(split.hats, start=identity(right.level))
+    tensor = TensorBasisElement(left * embed_to(split.base, left.level),
+                                chain, split.indices, base_level)
+    return tensor, split
+
+
 def _conj_action_detail(h: TreeAutomorphism, t: TensorBasisElement):
     """Conjugate the tensor inside the bimodule and renormalize.
 
@@ -110,16 +126,9 @@ def _conj_action_detail(h: TreeAutomorphism, t: TensorBasisElement):
     n = t.coset_b.level
     if h.level != n:
         raise ValueError(f"acting element level {h.level}, expected {n}")
-    left_level = t.left.level
-    split = factorize(t.coset_rep() * h.inverse(), t.base_level)
-    crossed = split.base
-    chain_part = identity(n)
-    for piece in split.hats:
-        chain_part = chain_part * piece
-    new_left = (embed_to(h, left_level) * t.left
-                * embed_to(crossed, left_level))
-    image = TensorBasisElement(new_left, chain_part, split.indices, t.base_level)
-    return image, crossed, split.indices != t.coset_indices
+    image, split = _renormalize(embed_to(h, t.left.level) * t.left,
+                                t.coset_rep() * h.inverse(), t.base_level)
+    return image, split.base, split.indices != t.coset_indices
 
 
 def conj_action_tensor(h: TreeAutomorphism, t: TensorBasisElement) -> TensorBasisElement:
@@ -160,16 +169,10 @@ def compose_tensor_sums(x: dict, y: dict) -> dict:
     """
     out: dict = {}
     for t2, d in y.items():
-        left2 = t2.left
         rep2 = t2.coset_rep()
         for t1, c in x.items():
-            split = factorize(t1.coset_rep() * rep2, t1.base_level)
-            chain = identity(t1.coset_b.level)
-            for piece in split.hats:
-                chain = chain * piece
-            left = (left2 * t1.left
-                    * embed_to(split.base, t1.left.level))
-            key = TensorBasisElement(left, chain, split.indices, t1.base_level)
+            key, _ = _renormalize(t2.left * t1.left, t1.coset_rep() * rep2,
+                                  t1.base_level)
             coeff = out.get(key, 0) + c * d
             if coeff:
                 out[key] = coeff
@@ -187,11 +190,8 @@ def end_basis_closure(basis: "EndBasis"):
     is available at l > 0.
     """
     if basis.l == 0:
-        for a in basis.vectors:
-            for b in basis.vectors:
-                if expand_in_orbit_basis(a * b, basis.vectors) is None:
-                    return False, (a, b)
-        return True, None
+        failure = closure_failure(basis.vectors)
+        return failure is None, failure
     vectors = [dict.fromkeys(vec, 1) for vec in basis.vectors]
     mins = [min(vec) for vec in basis.vectors]
     for i, a in enumerate(vectors):
@@ -276,10 +276,6 @@ def d_generator_table(n: int, m: int):
         if not centralizes(elt, sub):
             raise VerificationError(f"generator {label} fails to centralize")
     return tuple(table)
-
-
-def d_generators(n: int, m: int):
-    return tuple(elt for _, elt in d_generator_table(n, m))
 
 
 def power_table(n: int, max_k: int):
@@ -403,7 +399,8 @@ def id_factor_span_check(n: int):
     the two factors together span the whole adjacent-level centralizer.
     """
     level = n + 1
-    block_rows = _generated_algebra_rows(level, d_generators(n, level))
+    block_rows = _generated_algebra_rows(
+        level, [elt for _, elt in d_generator_table(n, level)])
     class_sums = [
         AlgebraElement.from_elements(level, (embed_to(x, level) for x in c.elements))
         for c in conjugacy_classes(n).orbits]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgebraElement, Orbit, orbit
+from .algebra import AlgebraElement, orbit
 from .treegroup import (
     MAX_ENUM_LEVEL,
     LevelTooLarge,
@@ -90,12 +90,8 @@ def center_closed_form(n: int):
 
 
 def center(n: int):
-    """Brute-force center: elements commuting with every generator."""
-    if n > MAX_ENUM_LEVEL:
-        raise LevelTooLarge(f"center computation capped at level {MAX_ENUM_LEVEL}")
-    gens = SubgroupSpec.full().generators(n)
-    return tuple(x for x in full_group(n)
-                 if all(x * t == t * x for t in gens))
+    """Brute-force center: the centralizer of the whole level-n group."""
+    return group_centralizer(n, 0)
 
 
 def group_centralizer(n: int, k: int):
@@ -141,27 +137,14 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-def _orbit_partition(elements, spec: SubgroupSpec, ambient: int):
-    """Partition into conjugation orbits, walking generator conjugations."""
-    gens = spec.generators(ambient)
-    invs = [t.inverse() for t in gens]
+def _orbit_partition(elements, spec: SubgroupSpec):
+    """Partition into conjugation orbits, in order of their first element."""
     seen = set()
     orbits = []
     for seed in elements:
-        if seed in seen:
-            continue
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for t, ti in zip(gens, invs):
-                y = t * x * ti
-                if y not in block:
-                    block.add(y)
-                    frontier.append(y)
-        seen |= block
-        elems = tuple(sorted(block))
-        orbits.append(Orbit(elems[0], elems, spec))
+        if seed not in seen:
+            orbits.append(orbit(seed, spec))
+            seen.update(orbits[-1].elements)
     return tuple(orbits)
 
 
@@ -174,7 +157,7 @@ def conjugacy_classes(n: int, allow_large: bool = False) -> OrbitDecomposition:
             "conjugacy classes at level 4 scan 32768 elements; "
             "pass allow_large=True (CLI: --allow-large)")
     spec = SubgroupSpec.full()
-    return OrbitDecomposition(spec, n, _orbit_partition(full_group(n), spec, n))
+    return OrbitDecomposition(spec, n, _orbit_partition(full_group(n), spec))
 
 
 def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecomposition:
@@ -195,7 +178,7 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
         return OrbitDecomposition(classes.acting, n, classes.orbits, labels)
 
     spec = SubgroupSpec.embedded(n)
-    orbits = _orbit_partition(full_group(ambient), spec, ambient)
+    orbits = _orbit_partition(full_group(ambient), spec)
     by_rep = {o.representative: i for i, o in enumerate(orbits)}
 
     shifts = SubgroupSpec.hat_chain(n, ambient - 1).elements(ambient)
@@ -256,6 +239,18 @@ def expand_in_orbit_basis(x: AlgebraElement, basis):
     return tuple(coeffs) if residual.is_zero() else None
 
 
+def closure_failure(basis):
+    """First pair (a, b) of basis vectors whose product a*b leaves the span.
+
+    None means every pairwise product expands in the orbit-sum basis.
+    """
+    for a in basis:
+        for b in basis:
+            if expand_in_orbit_basis(a * b, basis) is None:
+                return a, b
+    return None
+
+
 # --- coset systems -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -280,19 +275,31 @@ class CosetSystem:
         return len(self.cosets)
 
 
-def _verify_partition(cosets, ambient: int, kind: str) -> None:
+def _coset_system(systems, ambient: int, base: int, kind: str) -> CosetSystem:
+    """Sort (coset, stated representative) pairs and verify the partition."""
+    systems = sorted(systems)
+    label = kind.replace("_", " ")
     total = 0
     union = set()
-    for coset in cosets:
+    for coset, _ in systems:
         if len(set(coset)) != len(coset):
-            raise VerificationError(f"{kind}: repeated element inside a coset")
+            raise VerificationError(f"{label}: repeated element inside a coset")
         total += len(coset)
         union.update(coset)
     order = group_order(ambient)
     if total != order or len(union) != order:
         raise VerificationError(
-            f"{kind}: cosets cover {len(union)} of {order} elements "
+            f"{label}: cosets cover {len(union)} of {order} elements "
             f"(total size {total})")
+    return CosetSystem(
+        ambient_level=ambient,
+        base_level=base,
+        kind=kind,
+        representatives=tuple(c[0] for c, _ in systems),
+        sizes=tuple(len(c) for c, _ in systems),
+        cosets=tuple(c for c, _ in systems),
+        stated_representatives=tuple(rep for _, rep in systems),
+    )
 
 
 def coset_rep_pairs(base: int, ambient: int):
@@ -323,25 +330,15 @@ def right_coset_reps(n: int, l: int) -> CosetSystem:
         raise LevelTooLarge(
             f"right-coset enumeration capped at level {MAX_ENUM_LEVEL}")
     base = SubgroupSpec.embedded(n).elements(ambient)
-    pairs = coset_rep_pairs(n, ambient)
-    cosets = []
-    for _, _, rep in pairs:
-        cosets.append((tuple(sorted(x * rep for x in base)), rep))
-    cosets.sort()
-    _verify_partition([c for c, _ in cosets], ambient, "right cosets")
+    system = _coset_system(
+        ((tuple(sorted(x * rep for x in base)), rep)
+         for _, _, rep in coset_rep_pairs(n, ambient)),
+        ambient, n, "right_cosets")
     expected = group_order(ambient) // group_order(n)
-    if len(cosets) != expected:
+    if system.count != expected:
         raise VerificationError(
-            f"right cosets: {len(cosets)} cosets, expected {expected}")
-    return CosetSystem(
-        ambient_level=ambient,
-        base_level=n,
-        kind="right_cosets",
-        representatives=tuple(c[0] for c, _ in cosets),
-        sizes=tuple(len(c) for c, _ in cosets),
-        cosets=tuple(c for c, _ in cosets),
-        stated_representatives=tuple(rep for _, rep in cosets),
-    )
+            f"right cosets: {system.count} cosets, expected {expected}")
+    return system
 
 
 def double_cosets(n: int) -> CosetSystem:
@@ -379,18 +376,7 @@ def double_cosets(n: int) -> CosetSystem:
         raise VerificationError(
             f"root-swap coset has {len(big)} elements, expected {order**2}")
     systems.append((tuple(sorted(big)), root))
-
-    systems.sort()
-    _verify_partition([c for c, _ in systems], ambient, "double cosets")
-    return CosetSystem(
-        ambient_level=ambient,
-        base_level=n,
-        kind="double_cosets",
-        representatives=tuple(c[0] for c, _ in systems),
-        sizes=tuple(len(c) for c, _ in systems),
-        cosets=tuple(c for c, _ in systems),
-        stated_representatives=tuple(rep for _, rep in systems),
-    )
+    return _coset_system(systems, ambient, n, "double_cosets")
 
 
 # --- defining relations -------------------------------------------------------

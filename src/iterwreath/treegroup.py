@@ -12,8 +12,9 @@ verification loops stay fast.  All functions here are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product as _cartesian
 
 # Exhaustive enumeration stops at level 4 (32768 elements); level 5 already
@@ -348,19 +349,6 @@ def beta(level: int, index: int) -> TreeAutomorphism:
     return TreeAutomorphism.beta(level, index)
 
 
-def multiply(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
-    return g * h
-
-
-def inverse(g: TreeAutomorphism) -> TreeAutomorphism:
-    return g.inverse()
-
-
-def conjugate(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
-    """h * g * h**-1."""
-    return g.conjugated_by(h)
-
-
 def beta_product(level: int, indices) -> TreeAutomorphism:
     """Product of generators over a strictly increasing index list.
 
@@ -370,19 +358,16 @@ def beta_product(level: int, indices) -> TreeAutomorphism:
     indices = tuple(indices)
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing: {indices}")
-    return reduce(multiply, (beta(level, i) for i in indices), identity(level))
+    return math.prod((beta(level, i) for i in indices), start=identity(level))
 
 
 def beta_product_descending(level: int, indices) -> TreeAutomorphism:
     """Product of generators written largest index first (it acts last).
 
-    This is the inverse of beta_product on the same index set.
+    This is the inverse of beta_product on the same index set, since the
+    generators are involutions.
     """
-    indices = tuple(indices)
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"indices must be strictly increasing: {indices}")
-    return reduce(multiply, (beta(level, i) for i in reversed(indices)),
-                  identity(level))
+    return beta_product(level, indices).inverse()
 
 
 def perm_embed(g: TreeAutomorphism) -> TreeAutomorphism:
@@ -532,12 +517,8 @@ class SubgroupSpec:
                                 for g in full_group(self.lo)))
         factor_elems = [SubgroupSpec.hat(m).elements(ambient)
                         for m in range(self.lo, self.hi + 1)]
-        return tuple(sorted(reduce(multiply, combo, identity(ambient))
+        return tuple(sorted(math.prod(combo, start=identity(ambient))
                             for combo in _cartesian(*factor_elems)))
-
-
-def enumerate_subgroup(spec: SubgroupSpec, ambient: int):
-    return spec.elements(ambient)
 
 
 # --- decomposition along the tower ----------------------------------------
@@ -559,8 +540,8 @@ class Factorization:
     indices: tuple
 
     def recompose(self) -> TreeAutomorphism:
-        out = reduce(multiply, self.hats, self.base)
-        return out * beta_product(self.ambient_level, self.indices)
+        return (math.prod(self.hats, start=self.base)
+                * beta_product(self.ambient_level, self.indices))
 
 
 def factorize(g: TreeAutomorphism, base_level: int) -> Factorization:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import iterwreath
 from iterwreath.cli import main
 
 
@@ -104,6 +107,13 @@ def test_guard_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_negative_class_count_is_a_guard_error(capsys):
+    assert main(["class-count", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_classes_level_four_with_flag(capsys):
     code, out = run_cli(capsys, "classes", "4", "--allow-large",
                         "--format", "json")
@@ -137,10 +147,14 @@ def test_usage_error_exit_code():
 
 
 def test_console_script_entry_point():
+    # the child finds the package where this process found it
+    package_root = str(Path(iterwreath.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "iterwreath.cli", "enumerate", "1",
          "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["payload"]["size"] == 2

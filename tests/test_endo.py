@@ -14,7 +14,6 @@ from iterwreath import (
     centralizes,
     conj_action_tensor,
     d_generator_table,
-    d_generators,
     end_ind_res_basis,
     factorize,
     full_group,
@@ -285,7 +284,7 @@ def test_d_generator_table_two_levels_up_from_two():
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 3), (2, 4)])
 def test_d_generators_centralize_embedded_subgroup(n, m):
     sub = SubgroupSpec.embedded(n)
-    for g in d_generators(n, m):
+    for _, g in d_generator_table(n, m):
         assert centralizes(g, sub)
 
 
