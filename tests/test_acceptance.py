@@ -8,6 +8,7 @@ exposes the same battery on the command line.
 
 import json
 import time
+from pathlib import Path
 
 
 from iterwreath import (
@@ -237,10 +238,14 @@ def test_criterion_15_determinism_and_runtime(capsys):
         outputs.append(captured.out)
         assert code == 0
     elapsed = time.perf_counter() - started
-    identical = outputs[0] == outputs[1]
+    golden = (Path(__file__).resolve().parent / "golden"
+              / "verify-all.json").read_bytes()
+    identical = (outputs[0].encode("utf-8") == golden
+                 and outputs[0] == outputs[1])
     blob = json.loads(outputs[0])
     all_pass = blob["verdict"] == "PASS"
     ok = identical and all_pass and elapsed / 2 < 60.0
-    report(15, ok, f"verify-all JSON byte-identical across two runs, "
+    report(15, ok, f"verify-all JSON byte-identical to its golden fixture "
+                   f"in two runs, "
                    f"all {len(blob['payload']['checks'])} checks PASS, "
                    f"{elapsed / 2:.1f} s per run", capsys)

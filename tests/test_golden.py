@@ -2,8 +2,10 @@
 
 Each command is dispatched once in-process and rendered in all three
 formats; the bytes must equal the fixtures under tests/golden/.  verify-all
-is left out (about 5 s in-process); benchmarks/reference and acceptance
-criterion 15 guard it.  After an intended output change, recapture with
+takes about 5 s in-process, so it is rendered here only on recapture: its
+default-seed JSON is tests/golden/verify-all.json, which acceptance
+criterion 15 byte-compares, and benchmarks/reference holds the
+--allow-large run.  After an intended output change, recapture with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,6 +17,7 @@ import pytest
 from iterwreath.cli import build_parser, dispatch, render
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+VERIFY_ALL = GOLDEN / "verify-all.json"
 FORMATS = {"json": "json", "csv": "csv", "text": "txt"}
 
 COMMANDS = [
@@ -62,3 +65,5 @@ if __name__ == "__main__":
     for command in COMMANDS:
         for path, data in rendered(command).items():
             path.write_bytes(data)
+    report = dispatch(build_parser().parse_args(["verify-all"]))
+    VERIFY_ALL.write_bytes(render(report, "json").encode("utf-8"))
