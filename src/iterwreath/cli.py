@@ -126,8 +126,6 @@ def _cmd_classes(args) -> Report:
 
 def _cmd_class_count(args) -> Report:
     n = args.n
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
     if n > MAX_CLASS_COUNT_LEVEL:
         raise ValueError(f"class-count capped at n = {MAX_CLASS_COUNT_LEVEL}")
     values = [structure.class_count(m) for m in range(n + 1)]
@@ -757,6 +755,10 @@ _COMMANDS = {
 }
 
 
+def _positionals(command):
+    return [a for a in _COMMANDS[command][1].split() if not a.startswith("--")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iterwreath",
@@ -766,9 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, arguments, help_text) in _COMMANDS.items():
         arguments = arguments.split()
         p = sub.add_parser(name, help=help_text)
-        for arg in arguments:
-            if not arg.startswith("--"):
-                p.add_argument(arg, type=int)
+        for arg in _positionals(name):
+            p.add_argument(arg, type=int)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--out", default=None,
@@ -783,6 +784,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> Report:
+    for name in _positionals(args.command):
+        if getattr(args, name) < 0:
+            raise ValueError(f"{args.command}: argument {name} must be >= 0, "
+                             f"got {getattr(args, name)}")
     started = time.perf_counter()
     report = _COMMANDS[args.command][0](args)
     report.timing_ms = (time.perf_counter() - started) * 1000.0

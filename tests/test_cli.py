@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import iterwreath
-from iterwreath.cli import main
+from iterwreath.cli import _COMMANDS, _positionals, main
 
 
 def run_cli(capsys, *argv):
@@ -107,10 +107,19 @@ def test_guard_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_negative_class_count_is_a_guard_error(capsys):
-    assert main(["class-count", "-1"]) == 2
+NEGATIVE_ARGUMENTS = [(command, name) for command in _COMMANDS
+                      for name in _positionals(command)]
+
+
+@pytest.mark.parametrize(
+    "command, name", NEGATIVE_ARGUMENTS,
+    ids=[f"{command}-{name}" for command, name in NEGATIVE_ARGUMENTS])
+def test_negative_argument_is_a_guard_error(capsys, command, name):
+    argv = [command] + ["-1" if arg == name else "1"
+                        for arg in _positionals(command)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("guard: ")
+    assert err.startswith("guard: ") and f"argument {name} " in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
