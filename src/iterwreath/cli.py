@@ -145,7 +145,6 @@ def _cmd_right_cosets(args) -> Report:
         "count": system.count,
         "expected_count": expected,
         "coset_size": group_order(n),
-        "partition_verified": True,
     }
     columns = ["stated_rep", "canonical_rep", "size"]
     if system.count <= MAX_LISTED_ELEMENTS:
@@ -176,7 +175,6 @@ def _cmd_double_cosets(args) -> Report:
         "sizes": list(system.sizes),
         "stated_representatives": [
             element_json(r) for r in system.stated_representatives],
-        "partition_verified": True,
     }
     rows = [[r.cycle_string(), m.cycle_string(), s]
             for r, m, s in zip(system.stated_representatives,
@@ -198,7 +196,6 @@ def _cmd_orbits(args) -> Report:
         "predicted_literal": literal,
         "matches_corrected": decomp.count == corrected,
         "matches_literal": decomp.count == literal,
-        "labeling_verified": True,
     }
     ok = decomp.count == corrected
     columns = ["representative", "size", "label"]
@@ -378,7 +375,6 @@ def _cmd_d_gens(args) -> Report:
         "count": len(table),
         "swap_generators": len(swap_gens),
         "orbit_sums": len(table) - len(swap_gens),
-        "all_centralize": True,
         "orbit_sum_commutes_with_shifted_gens": commute_ok,
         "generators": [{"label": label, "element": algebra_json(elt)}
                        for label, elt in table],
