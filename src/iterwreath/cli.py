@@ -267,8 +267,6 @@ def _cmd_mackey(args) -> Report:
     n = args.n
     summands = mackey.mackey_decomposition(n)
     order = group_order(n)
-    ids = sum(1 for s in summands if s.kind == "Id")
-    total = sum(s.bimodule_dimension for s in summands)
     payload = {
         "level": n,
         "summands": [{
@@ -277,12 +275,13 @@ def _cmd_mackey(args) -> Report:
             "type": s.kind,
             "dimension": s.bimodule_dimension,
         } for s in summands],
-        "id_multiplicity": ids,
+        "id_multiplicity": sum(1 for s in summands if s.kind == "Id"),
         "expected_id_multiplicity": order,
-        "dimension_total": total,
+        "dimension_total": sum(s.bimodule_dimension for s in summands),
         "expected_dimension_total": group_order(n + 1),
     }
-    ok = ids == order and total == group_order(n + 1)
+    ok = (payload["id_multiplicity"] == payload["expected_id_multiplicity"]
+          and payload["dimension_total"] == payload["expected_dimension_total"])
     rows = [[s.coset_rep.cycle_string(), len(s.intersection), s.kind,
              s.bimodule_dimension] for s in summands]
     return Report("mackey", {"n": n}, "PASS" if ok else "FAIL", payload,
@@ -435,16 +434,13 @@ def _cmd_opposite_check(args) -> Report:
 
 
 # --- the full desk-scale battery ----------------------------------------------
-#
-# A check that restates a subcommand's claim runs that subcommand's handler:
-# the handler's verdict decides, and the check only picks its detail entries
-# (and compares literal values the paper states) from the handler's payload.
 
 def _sweep(handler, cases, detail, allow_large=False):
-    """Run `handler` once per case; pass iff every verdict is PASS.
+    """Decide a check that restates a subcommand's claim by its handler.
 
     `cases` maps each detail key to the handler's positional arguments, and
-    `detail` turns that case's report into the key's detail entry.
+    `detail` turns that case's report into the key's entry.  The check
+    passes iff every verdict is PASS; it decides nothing a second time.
     """
     ok, entries = True, {}
     for key, params in cases.items():
