@@ -150,19 +150,19 @@ def orbit(g: TreeAutomorphism, acting: SubgroupSpec) -> Orbit:
     """Closure of {g} under conjugation by the acting subgroup.
 
     Walks the conjugation graph spanned by the subgroup's generators only;
-    that suffices because generators generate.
+    that suffices because generators generate.  Every generator is an
+    embedded single swap, hence an involution, so t * x * t conjugates.
     """
     level = g.level
     if level > MAX_ENUM_LEVEL:
         raise LevelTooLarge(f"orbit computation capped at level {MAX_ENUM_LEVEL}")
     gens = acting.generators(level)
-    invs = [t.inverse() for t in gens]
     seen = {g}
     frontier = [g]
     while frontier:
         x = frontier.pop()
-        for t, ti in zip(gens, invs):
-            y = t * x * ti
+        for t in gens:
+            y = t * x * t
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)

@@ -130,6 +130,17 @@ def test_generators_are_involutions():
     for n in range(1, 5):
         for i in range(1, n + 1):
             assert beta(n, i) * beta(n, i) == identity(n)
+    # the orbit walk conjugates by t * x * t, so every subgroup generator
+    # must be an involution
+    for ambient in range(1, 5):
+        specs = [SubgroupSpec.full(), SubgroupSpec.trivial()]
+        specs += [SubgroupSpec.embedded(m) for m in range(ambient + 1)]
+        specs += [SubgroupSpec.hat(m) for m in range(ambient)]
+        specs += [SubgroupSpec.hat_chain(lo, hi)
+                  for hi in range(ambient) for lo in range(hi + 1)]
+        for spec in specs:
+            for t in spec.generators(ambient):
+                assert t * t == identity(ambient), (spec, ambient)
 
 
 def test_multiply_frozen_example():
