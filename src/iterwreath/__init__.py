@@ -13,6 +13,7 @@ from .treegroup import (
     Permutation,
     SubgroupSpec,
     TreeAutomorphism,
+    UsageError,
     beta,
     beta_product,
     beta_product_descending,

@@ -3,7 +3,8 @@
 Output contract: identical invocations produce identical bytes.  Exit code 0
 means every checked claim passed (or the command is purely informational),
 1 means a claim failed and the report names the first witness, 2 means a
-usage or resource-guard violation.  Wall-clock timing goes to stderr only.
+usage or resource-guard violation, and 3 means the program itself failed (one
+`error:` line on stderr).  Wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from . import algebra, endo, mackey, structure, treegroup
 from .algebra import AlgebraElement
 from .structure import VerificationError
 from .treegroup import (
-    LevelMismatch,
     LevelTooLarge,
     SubgroupSpec,
+    UsageError,
     full_group,
     group_order,
 )
@@ -34,7 +35,7 @@ MAX_TABLE_DIMENSION = 12
 MAX_CLASS_COUNT_LEVEL = 30
 DEFAULT_SEED = 2024
 
-GUARD_ERRORS = (LevelTooLarge, endo.HomSpaceEmpty, LevelMismatch, ValueError)
+GUARD_ERRORS = (LevelTooLarge, endo.HomSpaceEmpty, UsageError)
 
 
 @dataclass
@@ -127,7 +128,7 @@ def _cmd_classes(args) -> Report:
 def _cmd_class_count(args) -> Report:
     n = args.n
     if n > MAX_CLASS_COUNT_LEVEL:
-        raise ValueError(f"class-count capped at n = {MAX_CLASS_COUNT_LEVEL}")
+        raise UsageError(f"class-count capped at n = {MAX_CLASS_COUNT_LEVEL}")
     values = [structure.class_count(m) for m in range(n + 1)]
     payload = {"level": n, "value": values[-1],
                "sequence": [str(v) for v in values]}
@@ -778,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(args) -> Report:
     for name in _positionals(args.command):
         if getattr(args, name) < 0:
-            raise ValueError(f"{args.command}: argument {name} must be >= 0, "
+            raise UsageError(f"{args.command}: argument {name} must be >= 0, "
                              f"got {getattr(args, name)}")
     started = time.perf_counter()
     report = _COMMANDS[args.command][0](args)
@@ -797,6 +798,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         report = Report(args.command, {}, "FAIL", {"error": str(exc)},
                         ["error"], [[str(exc)]])
+    except Exception as exc:  # a fault in the program, not in its input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text = render(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

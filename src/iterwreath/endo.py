@@ -29,6 +29,7 @@ from .treegroup import (
     LevelTooLarge,
     SubgroupSpec,
     TreeAutomorphism,
+    UsageError,
     beta,
     beta_product,
     beta_product_descending,
@@ -72,7 +73,7 @@ def _validate_params(n: int, k: int, l: int) -> None:
         raise HomSpaceEmpty(
             f"cannot restrict {l} times from level {n}: the hom space is empty")
     if k < l:
-        raise ValueError(
+        raise UsageError(
             f"left tensor level n+k-l = {n + k - l} would sit below level {n}")
     if max(n, n + k - l) > MAX_ENUM_LEVEL:
         raise LevelTooLarge(
@@ -258,7 +259,7 @@ def d_generator_table(n: int, m: int):
     every entry is checked to centralize the embedded level-n subgroup.
     """
     if not n < m:
-        raise ValueError(f"need n < m, got {(n, m)}")
+        raise UsageError(f"need n < m, got {(n, m)}")
     if m > MAX_ENUM_LEVEL:
         raise LevelTooLarge(f"generator table capped at level {MAX_ENUM_LEVEL}")
     sub = SubgroupSpec.embedded(n)
@@ -287,7 +288,7 @@ def power_table(n: int, max_k: int):
     if n < 1 or n > MAX_ENUM_LEVEL - 1:
         raise LevelTooLarge(f"power table needs 1 <= n <= {MAX_ENUM_LEVEL - 1}")
     if not 1 <= max_k <= MAX_POWER_EXPONENT:
-        raise ValueError(f"max_k must be in 1..{MAX_POWER_EXPONENT}")
+        raise UsageError(f"max_k must be in 1..{MAX_POWER_EXPONENT}")
     o = orbit_sum(beta(n + 1, n + 1), SubgroupSpec.embedded(n))
     powers = [o]
     for _ in range(max_k - 1):

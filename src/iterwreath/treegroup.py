@@ -3,11 +3,13 @@
 The level-n group is the automorphism group of the complete binary tree with
 2**n leaves; its order is 2**(2**n - 1).  An element is stored canonically as
 a *swap word*: one bit per internal node, breadth-first from the root, bit 1
-meaning the node's two subtrees are exchanged.  Each element also carries the
-permutation it induces on the leaf labels 1..2**n.
+meaning the node's two subtrees are exchanged.  It also stores `perm`, its
+leaf permutation as 0-based bytes (so levels stop at MAX_BYTE_LEVEL = 8), and
+`rank`, the int "1" + word in binary, which orders by level, then by word.
 
-Values are immutable and interned, so equality is cheap and enumeration-heavy
-verification loops stay fast.  All functions here are pure.
+Values are immutable and interned in one pool keyed by word and by `perm`, so
+equality is cheap and a product is one `bytes.translate`.  All functions here
+are pure; `reset_caches` empties the pool and the full-group cache.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from itertools import product as _cartesian
 # Exhaustive enumeration stops at level 4 (32768 elements); level 5 already
 # has 2**31 elements.
 MAX_ENUM_LEVEL = 4
+# Leaf labels are stored one per byte, so elements exist up to level 8.
+MAX_BYTE_LEVEL = 8
 
 
 class LevelMismatch(ValueError):
@@ -28,6 +32,10 @@ class LevelMismatch(ValueError):
 
 class LevelTooLarge(ValueError):
     """An exhaustive enumeration would exceed the desk-scale guard."""
+
+
+class UsageError(ValueError):
+    """A command argument lies outside what the command accepts."""
 
 
 class NotATreeAutomorphism(ValueError):
@@ -93,10 +101,8 @@ class Permutation:
         return Permutation(self.images[i - 1] for i in other.images)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(inv)
+        # the labels listed in the order of their images
+        return Permutation(sorted(range(1, self.degree + 1), key=self))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest label, sorted."""
@@ -138,94 +144,57 @@ class Permutation:
 # depth j; the left subtree owns the first half of each block.
 
 def _split_word(level, word):
-    s = word[0]
     left, right = [], []
-    pos = 1
-    for j in range(1, level):
-        size = 1 << j
-        half = size >> 1
-        block = word[pos:pos + size]
-        left.extend(block[:half])
-        right.extend(block[half:])
-        pos += size
-    return s, tuple(left), tuple(right)
+    for j in range(level - 1):  # the depth-(j+1) block starts at 2**(j+1) - 1
+        half = 1 << j
+        left += word[2 * half - 1:3 * half - 1]
+        right += word[3 * half - 1:4 * half - 1]
+    return word[0], tuple(left), tuple(right)
 
 
 def _merge_word(level, s, left, right):
     out = [s]
-    pos = 0
-    for j in range(1, level):
-        half = 1 << (j - 1)
-        out.extend(left[pos:pos + half])
-        out.extend(right[pos:pos + half])
-        pos += half
+    for j in range(level - 1):
+        block = slice((1 << j) - 1, (2 << j) - 1)
+        out += left[block] + right[block]
     return tuple(out)
-
-
-def _images_from_word(level, word):
-    # Leaf in the left half goes to f_L(i) + s*h, in the right half to
-    # f_R(i) + (1-s)*h, with h = 2**(level-1): subtrees act first, the root
-    # swap last.
-    if level == 0:
-        return (1,)
-    s, lw, rw = _split_word(level, word)
-    li = _images_from_word(level - 1, lw)
-    ri = _images_from_word(level - 1, rw)
-    h = 1 << (level - 1)
-    if s == 0:
-        return li + tuple(v + h for v in ri)
-    return tuple(v + h for v in li) + ri
-
-
-def _word_from_images(level, images):
-    if level == 0:
-        return ()
-    h = 1 << (level - 1)
-    first_left = all(v <= h for v in images[:h])
-    if first_left:
-        s = 0
-        left = images[:h]
-        right = tuple(v - h for v in images[h:])
-    else:
-        s = 1
-        left = tuple(v - h for v in images[:h])
-        right = images[h:]
-    if not all(1 <= v <= h for v in left) or not all(1 <= v <= h for v in right):
-        raise NotATreeAutomorphism(
-            f"permutation splits the leaf blocks at level {level}: {images}"
-        )
-    return _merge_word(level, s,
-                       _word_from_images(level - 1, left),
-                       _word_from_images(level - 1, right))
 
 
 # --- canonical, interned elements ----------------------------------------
 
+# One pool for both keys: a word tuple never equals a perm bytes.
 _pool: dict = {}
+
+# Translate tables: _ROTATE[d] adds d to every byte, mod 256, so _ROTATE[-d]
+# subtracts it.  They move leaf blocks between the halves of a tree.
+_ROTATE = [bytes(range(d, 256)) + bytes(range(d)) for d in range(256)]
+
+
+def _check_level(level):
+    if level > MAX_BYTE_LEVEL:
+        raise LevelTooLarge(f"levels stop at {MAX_BYTE_LEVEL}, got {level}")
 
 
 class TreeAutomorphism:
     """Canonical tree automorphism: swap word plus its leaf permutation."""
 
-    __slots__ = ("level", "word", "images", "_hash")
+    __slots__ = ("level", "word", "perm", "rank", "_hash")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use TreeAutomorphism.from_word / identity / beta")
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, TreeAutomorphism)
-                and self.level == other.level and self.word == other.word)
+        return self is other or (isinstance(other, TreeAutomorphism)
+                                 and self.rank == other.rank)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "TreeAutomorphism") -> bool:
-        return (self.level, self.word) < (other.level, other.word)
+        return self.rank < other.rank
 
     def __le__(self, other: "TreeAutomorphism") -> bool:
-        return (self.level, self.word) <= (other.level, other.word)
+        return self.rank <= other.rank
 
     # construction
 
@@ -241,6 +210,7 @@ class TreeAutomorphism:
     def identity(cls, level: int) -> "TreeAutomorphism":
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
+        _check_level(level)
         return _from_word(level, (0,) * ((1 << level) - 1))
 
     @classmethod
@@ -252,6 +222,7 @@ class TreeAutomorphism:
         """
         if not 1 <= index <= level:
             raise ValueError(f"generator index {index} out of range 1..{level}")
+        _check_level(level)
         word = [0] * ((1 << level) - 1)
         word[(1 << (level - index)) - 1] = 1
         return _from_word(level, tuple(word))
@@ -259,12 +230,12 @@ class TreeAutomorphism:
     @classmethod
     def from_permutation(cls, level: int, perm) -> "TreeAutomorphism":
         """Unique preimage of a block-structure-preserving permutation."""
+        _check_level(level)
         images = perm.images if isinstance(perm, Permutation) else tuple(perm)
         if len(images) != 1 << level:
             raise ValueError(f"degree {len(images)} != 2**{level}")
         Permutation(images)  # bijection check
-        word = _word_from_images(level, images)
-        return _from_word(level, word)
+        return _from_perm(level, bytes(v - 1 for v in images))
 
     # group operations
 
@@ -272,8 +243,8 @@ class TreeAutomorphism:
         # "self after other" on leaf labels.
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} and {other.level}")
-        gi = self.images
-        return _from_images(self.level, tuple(gi[x - 1] for x in other.images))
+        perm = other.perm.translate(self.perm.ljust(256, b"\0"))
+        return _pool.get(perm) or _from_perm(self.level, perm)
 
     def __pow__(self, k: int) -> "TreeAutomorphism":
         if k < 0:
@@ -284,16 +255,19 @@ class TreeAutomorphism:
         return out
 
     def inverse(self) -> "TreeAutomorphism":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return _from_images(self.level, tuple(inv))
+        n = 1 << self.level  # maketrans sends perm[i] to i, the inverse
+        return _from_perm(self.level, bytes.maketrans(self.perm, _ROTATE[0][:n])[:n])
 
     def conjugated_by(self, h: "TreeAutomorphism") -> "TreeAutomorphism":
         """h * self * h**-1."""
         return h * self * h.inverse()
 
     # views
+
+    @property
+    def images(self) -> tuple:
+        """The leaf permutation in one-line form on the labels 1..2**level."""
+        return tuple(v + 1 for v in self.perm)
 
     @property
     def is_identity(self) -> bool:
@@ -315,30 +289,50 @@ class TreeAutomorphism:
         return self.cycle_string()
 
 
-def _build(level, word, images):
+def _intern(level, word, perm):
     g = object.__new__(TreeAutomorphism)
     g.level = level
     g.word = word
-    g.images = images
+    g.perm = perm
+    g.rank = int(b"1" + bytes(word).translate(_ROTATE[48]), 2)  # ASCII "1" + word
     g._hash = hash((level, word))
+    _pool[word] = _pool[perm] = g
     return g
 
 
 def _from_word(level, word):
-    images = _images_from_word(level, word)
-    key = (level, images)
-    g = _pool.get(key)
-    if g is None:
-        g = _pool[key] = _build(level, word, images)
-    return g
+    g = _pool.get(word)
+    if g is not None:
+        return g
+    if level == 0:
+        return _intern(0, word, b"\0")
+    _check_level(level)
+    # Subtrees act first, the root swap last: with h = 2**(level-1), a left
+    # leaf i goes to f_L(i) + s*h and a right leaf to f_R(i) + (1-s)*h.
+    s, lw, rw = _split_word(level, word)
+    h = 1 << (level - 1)
+    left = _from_word(level - 1, lw).perm.translate(_ROTATE[s * h])
+    right = _from_word(level - 1, rw).perm.translate(_ROTATE[(1 - s) * h])
+    return _intern(level, word, left + right)
 
 
-def _from_images(level, images):
-    key = (level, images)
-    g = _pool.get(key)
-    if g is None:
-        g = _pool[key] = _build(level, _word_from_images(level, images), images)
-    return g
+def _from_perm(level, perm):
+    g = _pool.get(perm)
+    if g is not None:
+        return g
+    if level == 0:
+        return _intern(0, (), perm)
+    h = 1 << (level - 1)
+    s = int(perm[0] >= h)
+    left = perm[:h].translate(_ROTATE[-s * h])
+    right = perm[h:].translate(_ROTATE[(s - 1) * h])
+    if max(left) >= h or max(right) >= h:
+        raise NotATreeAutomorphism(
+            f"permutation splits the leaf blocks at level {level}: "
+            f"{tuple(v + 1 for v in perm)}")
+    word = _merge_word(level, s, _from_perm(level - 1, left).word,
+                       _from_perm(level - 1, right).word)
+    return _intern(level, word, perm)
 
 
 def identity(level: int) -> TreeAutomorphism:
@@ -405,10 +399,16 @@ def full_group(level: int):
     if level > MAX_ENUM_LEVEL:
         raise LevelTooLarge(
             f"full enumeration is capped at level {MAX_ENUM_LEVEL}; "
-            f"level {level} has {group_order(level)} elements")
+            f"level {level} has 2**(2**{level} - 1) elements")
     n_bits = (1 << level) - 1
     return tuple(_from_word(level, bits)
                  for bits in _cartesian((0, 1), repeat=n_bits))
+
+
+def reset_caches() -> None:
+    """Forget every interned element and every cached full enumeration."""
+    _pool.clear()
+    full_group.cache_clear()
 
 
 # --- named standard subgroups ---------------------------------------------

@@ -43,7 +43,7 @@ from iterwreath import (
     tensor_basis,
 )
 from iterwreath.cli import main
-from iterwreath.treegroup import _pool, full_group as _full_group
+from iterwreath.treegroup import reset_caches
 
 
 def report(number, ok, detail, capsys):
@@ -54,8 +54,7 @@ def report(number, ok, detail, capsys):
 
 
 def test_criterion_01_group_sizes(capsys):
-    _full_group.cache_clear()
-    _pool.clear()
+    reset_caches()
     started = time.perf_counter()
     small_sizes = [len(full_group(n)) for n in (1, 2, 3)]
     small_elapsed = time.perf_counter() - started

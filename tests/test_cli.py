@@ -123,6 +123,17 @@ def test_negative_argument_is_a_guard_error(capsys, command, name):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_program_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(_COMMANDS, "center", (broken, *_COMMANDS["center"][1:]))
+    assert main(["center", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: internal fault\n"
+
+
 def test_classes_level_four_with_flag(capsys):
     code, out = run_cli(capsys, "classes", "4", "--allow-large",
                         "--format", "json")

@@ -21,6 +21,7 @@ from iterwreath import (
     identity,
     perm_embed,
 )
+from iterwreath.treegroup import MAX_BYTE_LEVEL
 
 
 def perm(degree, text):
@@ -229,8 +230,11 @@ def test_from_permutation_rejects_wrong_degree():
 
 
 def test_from_permutation_roundtrip_level_three():
+    # elements are interned: both constructors return the pooled object
     for g in full_group(3):
         assert TreeAutomorphism.from_permutation(3, g.to_permutation()) == g
+        assert TreeAutomorphism.from_permutation(3, g.images) is g
+        assert TreeAutomorphism.from_word(g.word) is g
 
 
 # --- embeddings -----------------------------------------------------------------
@@ -290,9 +294,10 @@ def test_full_enumeration_sizes():
 
 
 def test_full_enumeration_is_sorted_and_unique():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         group = full_group(n)
         assert list(group) == sorted(group)
+        assert list(group) == sorted(group, key=lambda g: g.word)
         assert len(set(group)) == len(group)
 
 
@@ -301,6 +306,17 @@ def test_full_enumeration_guard():
         full_group(5)
     with pytest.raises(LevelTooLarge):
         SubgroupSpec.full().elements(5)
+    # leaf labels are stored one per byte: levels stop at MAX_BYTE_LEVEL
+    assert identity(MAX_BYTE_LEVEL).perm == bytes(range(256))
+    root = beta(MAX_BYTE_LEVEL, MAX_BYTE_LEVEL)
+    assert (root * root).is_identity and root.inverse() is root
+    above = MAX_BYTE_LEVEL + 1
+    for build in (lambda: identity(above), lambda: beta(above, 1),
+                  lambda: TreeAutomorphism.from_word("0" * ((1 << above) - 1)),
+                  lambda: TreeAutomorphism.from_permutation(
+                      above, range(1, (1 << above) + 1))):
+        with pytest.raises(LevelTooLarge):
+            build()
 
 
 def test_level_one_group():
