@@ -41,6 +41,7 @@ from .structure import (
     expand_in_orbit_basis,
     group_centralizer,
     orbit_decomposition,
+    orbit_index,
     predicted_orbit_count,
     predicted_orbit_count_literal,
     right_coset_reps,

@@ -1,8 +1,10 @@
 """Sparse exact-rational arithmetic in the tower's group algebras.
 
 Elements are finite linear combinations of tree automorphisms at a fixed
-level with Fraction coefficients; zero coefficients are never stored, and
-term iteration is in canonical swap-word order, so serialized output is
+level with exact rational coefficients: a coefficient is a Python int when
+it is integral and a Fraction otherwise, so products of orbit sums run on
+integer arithmetic.  Zero coefficients are never stored, and term
+iteration is in canonical swap-word order, so serialized output is
 byte-deterministic.
 """
 
@@ -32,7 +34,8 @@ class AlgebraElement:
             if g.level != level:
                 raise LevelMismatch(
                     f"term {g!r} has level {g.level}, expected {level}")
-            c = Fraction(c)
+            if type(c) is not int and (c := Fraction(c)).denominator == 1:
+                c = c.numerator
             if c:
                 clean[g] = c
         self.level = level
@@ -55,12 +58,8 @@ class AlgebraElement:
         """Coefficient-1 sum over a set of elements (e.g. an orbit)."""
         return cls(level, {g: 1 for g in elements})
 
-    def coefficient(self, g: TreeAutomorphism) -> Fraction:
-        return self.terms.get(g, Fraction(0))
-
-    @property
-    def support(self):
-        return tuple(sorted(self.terms))
+    def coefficient(self, g: TreeAutomorphism) -> int | Fraction:
+        return self.terms.get(g, 0)
 
     def canonical_terms(self):
         return tuple((g, self.terms[g]) for g in sorted(self.terms))

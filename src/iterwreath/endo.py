@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .algebra import AlgebraElement, centralizes, orbit_sum
@@ -23,6 +24,7 @@ from .structure import (
     conjugacy_classes,
     coset_rep_pairs,
     expand_in_orbit_basis,
+    orbit_index,
 )
 from .treegroup import (
     MAX_ENUM_LEVEL,
@@ -185,29 +187,19 @@ def compose_tensor_sums(x: dict, y: dict) -> dict:
 def end_basis_closure(basis: "EndBasis"):
     """Whether products of the orbit-sum vectors stay inside their span.
 
-    Expands every pairwise composition by support matching against the
-    disjoint orbit supports.  Returns (closed, first_failure); the result is
-    reported, never asserted, since no closed description of these products
-    is available at l > 0.
+    Expands every pairwise composition in the orbit-sum basis.  Returns
+    (closed, first_failure); the result is reported, never asserted, since
+    no closed description of these products is available at l > 0.
     """
     if basis.l == 0:
         failure = closure_failure(basis.vectors)
         return failure is None, failure
+    index = orbit_index(basis.vectors)
     vectors = [dict.fromkeys(vec, 1) for vec in basis.vectors]
-    mins = [min(vec) for vec in basis.vectors]
     for i, a in enumerate(vectors):
         for j, b in enumerate(vectors):
             product = compose_tensor_sums(a, b)
-            for rep, vec in zip(mins, vectors):
-                coeff = product.get(rep, 0)
-                if coeff:
-                    for t in vec:
-                        remaining = product.get(t, 0) - coeff
-                        if remaining:
-                            product[t] = remaining
-                        else:
-                            product.pop(t, None)
-            if product:
+            if expand_in_orbit_basis(product, index, basis.dimension) is None:
                 return False, (i, j)
     return True, None
 
@@ -326,21 +318,16 @@ def opposite_check(n: int, k: int) -> OppositeReport:
             f"opposite check capped at ambient level {MAX_ENUM_LEVEL - 1}")
     basis = centralizer_algebra_basis(n, k)
     dim = len(basis)
-    left = [[None] * dim for _ in range(dim)]
-    right = [[None] * dim for _ in range(dim)]
-    closure_ok = True
-    for a in range(dim):
-        for b in range(dim):
-            left[a][b] = expand_in_orbit_basis(basis[a] * basis[b], basis)
-            right[a][b] = expand_in_orbit_basis(basis[b] * basis[a], basis)
-            if left[a][b] is None or right[a][b] is None:
-                closure_ok = False
-    transpose_ok = closure_ok and all(
-        left[a][b] == right[b][a] for a in range(dim) for b in range(dim))
-    return OppositeReport(
-        n, k, dim, closure_ok, transpose_ok,
-        tuple(tuple(row) for row in left),
-        tuple(tuple(row) for row in right))
+    index = orbit_index(v.terms for v in basis)
+
+    def expand(x, y):
+        return expand_in_orbit_basis((x * y).terms, index, dim)
+
+    left = tuple(tuple(expand(a, b) for b in basis) for a in basis)
+    right = tuple(tuple(expand(b, a) for b in basis) for a in basis)
+    closure_ok = all(c is not None for row in left + right for c in row)
+    transpose_ok = closure_ok and left == tuple(zip(*right))
+    return OppositeReport(n, k, dim, closure_ok, transpose_ok, left, right)
 
 
 # --- spanning check for the identity-block factorization -----------------------
@@ -366,7 +353,7 @@ class _Span:
         if x.is_zero():
             return False
         pivot = min(x.terms)
-        self.rows[pivot] = x.scaled(1 / x.coefficient(pivot))
+        self.rows[pivot] = x.scaled(Fraction(1) / x.coefficient(pivot))
         return True
 
     @property

@@ -223,20 +223,29 @@ def centralizer_algebra_basis(n: int, k: int, allow_large: bool = False):
                  for o in decomp.orbits)
 
 
-def expand_in_orbit_basis(x: AlgebraElement, basis):
-    """Coefficients of x in a disjoint-support orbit-sum basis, or None.
+def orbit_index(supports):
+    """Map each key of disjoint orbit supports to (orbit number, orbit size)."""
+    return {key: (i, len(support))
+            for i, support in enumerate(supports) for key in support}
 
-    The coefficient on each basis vector is read off at that orbit's
-    representative; the residual must vanish.
+
+def expand_in_orbit_basis(terms, index, dim: int):
+    """Coefficients of `terms` on the `dim` orbit sums numbered by `index`.
+
+    `terms` maps keys to nonzero coefficients (an AlgebraElement's terms or
+    a tensor formal sum) and `index` is the basis's orbit_index, built once
+    per basis.  One pass; None if a key lies in no orbit, a coefficient is
+    not constant on its orbit, or an orbit is only partly covered.
     """
-    coeffs = []
-    residual = x
-    for v in basis:
-        c = x.coefficient(min(v.terms))
-        coeffs.append(c)
-        if c:
-            residual = residual - v.scaled(c)
-    return tuple(coeffs) if residual.is_zero() else None
+    coeffs = [0] * dim
+    missing = {}
+    for key, c in terms.items():
+        i, size = index.get(key, (None, 0))
+        if i is None or coeffs[i] and coeffs[i] != c:
+            return None
+        coeffs[i] = c
+        missing[i] = missing.get(i, size) - 1
+    return None if any(missing.values()) else tuple(coeffs)
 
 
 def closure_failure(basis):
@@ -244,9 +253,10 @@ def closure_failure(basis):
 
     None means every pairwise product expands in the orbit-sum basis.
     """
+    index, dim = orbit_index(v.terms for v in basis), len(basis)
     for a in basis:
         for b in basis:
-            if expand_in_orbit_basis(a * b, basis) is None:
+            if expand_in_orbit_basis((a * b).terms, index, dim) is None:
                 return a, b
     return None
 

@@ -111,6 +111,29 @@ def test_multiplication_associates_and_distributes():
             assert (x + y) * z == x * z + y * z
 
 
+# --- coefficient contract -----------------------------------------------------------
+
+def test_products_of_orbit_sums_store_int_coefficients():
+    x = root_orbit_sum(2) * root_orbit_sum(2) * class_sum(beta(3, 1))
+    assert x.terms and all(type(c) is int for c in x.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    e = identity(2)
+    x = AlgebraElement(2, {e: Fraction(6, 3)})
+    assert type(x.coefficient(e)) is int
+    assert x == AlgebraElement.of(e, 2) and hash(x) == hash(AlgebraElement.of(e, 2))
+    assert AlgebraElement.zero(2).coefficient(e) == 0
+
+
+def test_scaling_by_a_third_keeps_a_fraction():
+    x = root_orbit_sum(1).scaled(Fraction(1, 3))
+    assert x.terms
+    assert all(type(c) is Fraction and c == Fraction(1, 3) for c in x.terms.values())
+    assert all(type(c) is int for c in x.scaled(3).terms.values())
+    assert x.scaled(3) == root_orbit_sum(1)
+
+
 # --- orbits -----------------------------------------------------------------------
 
 def test_orbit_of_identity_is_singleton():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -25,7 +27,13 @@ from iterwreath import (
     power_table,
     tensor_basis,
 )
-from iterwreath.endo import TensorBasisElement, id_factor_span_check
+from iterwreath import endo
+from iterwreath.endo import (
+    TensorBasisElement,
+    compose_tensor_sums,
+    end_basis_closure,
+    id_factor_span_check,
+)
 
 
 def elem(level, text):
@@ -247,6 +255,41 @@ def test_end_basis_closure_no_restriction_matches_expansion():
     assert closed
 
 
+def _residual_closure(vectors):
+    """First pair whose composition leaves the span, by orbit subtraction."""
+    sums = [dict.fromkeys(vec, 1) for vec in vectors]
+    for i, a in enumerate(sums):
+        for j, b in enumerate(sums):
+            product = compose_tensor_sums(a, b)
+            for vec in vectors:
+                coeff = product.get(min(vec), 0)
+                if not coeff:
+                    continue
+                for t in vec:
+                    remaining = product.get(t, 0) - coeff
+                    if remaining:
+                        product[t] = remaining
+                    else:
+                        product.pop(t, None)
+            if product:
+                return False, (i, j)
+    return True, None
+
+
+@pytest.mark.parametrize("n,k,l", [(2, 1, 1), (1, 2, 1)])
+@pytest.mark.parametrize("merge", range(6))
+def test_end_basis_closure_first_failure_matches_residual_reference(n, k, l, merge):
+    # merging two adjacent orbits breaks closure; the expansion must report
+    # the same first failing pair as subtracting orbit by orbit
+    basis = end_ind_res_basis(n, k, l)
+    vectors = list(basis.vectors)
+    vectors[merge:merge + 2] = [vectors[merge] + vectors[merge + 1]]
+    broken = replace(basis, vectors=tuple(vectors), dimension=len(vectors))
+    result = end_basis_closure(broken)
+    assert result == _residual_closure(broken.vectors)
+    assert not result[0]
+
+
 # --- orbit stability and centrality ---------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -311,6 +354,33 @@ def test_class_sums_times_generated_block_span_centralizer(n):
     assert span_dim == centralizer_dim
 
 
+def test_span_pivot_normalization_is_exact():
+    g, h = identity(2), elem(2, "(1 2)")
+    span = endo._Span(2)
+    assert span.add(AlgebraElement(2, {g: 3, h: 1}))
+    row = span.rows[g]
+    assert type(row.terms[h]) is Fraction and row.terms[h] == Fraction(1, 3)
+    assert type(row.terms[g]) is int and row.terms[g] == 1
+
+
+def test_span_check_coefficients_stay_exact(monkeypatch):
+    spans = []
+
+    class RecordingSpan(endo._Span):
+        def __init__(self, level):
+            super().__init__(level)
+            spans.append(self)
+
+    monkeypatch.setattr(endo, "_Span", RecordingSpan)
+    id_factor_span_check(1)
+    coefficients = [c for span in spans for row in span.rows.values()
+                    for c in row.terms.values()]
+    # int when integral, otherwise an exact Fraction; never a float
+    assert coefficients and all(
+        type(c) is int or type(c) is Fraction and c.denominator != 1
+        for c in coefficients)
+
+
 # --- power table ---------------------------------------------------------------------------
 
 def test_power_table_odd_identities():
@@ -334,6 +404,11 @@ def test_power_table_level_two_runs_and_is_central():
     powers = power_table(2, 3)
     assert len(powers[0].terms) == 8
     assert centralizes(powers[2], SubgroupSpec.full())
+
+
+def test_power_table_coefficients_stay_exact():
+    coefficients = [c for x in power_table(2, 4) for c in x.terms.values()]
+    assert coefficients and all(type(c) is int for c in coefficients)
 
 
 def test_power_table_guards():

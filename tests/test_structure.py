@@ -1,4 +1,9 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterwreath import (
     AlgebraElement,
@@ -23,6 +28,7 @@ from iterwreath import (
     group_order,
     identity,
     orbit_decomposition,
+    orbit_index,
     predicted_orbit_count,
     predicted_orbit_count_literal,
     right_coset_reps,
@@ -32,6 +38,11 @@ from iterwreath import (
 def elem(level, text):
     p = Permutation.from_cycle_string(1 << level, text)
     return TreeAutomorphism.from_permutation(level, p)
+
+
+def expand(x, basis):
+    index = orbit_index(v.terms for v in basis)
+    return expand_in_orbit_basis(x.terms, index, len(basis))
 
 
 def cycles(elements):
@@ -283,22 +294,73 @@ def test_centralizer_basis_closure_frozen_products():
     # basis order is by orbit representative word:
     # e, (3 4), (1 2), (1 2)(3 4), swap-pair sum, four-cycle sum
     v = list(basis)
-    assert expand_in_orbit_basis(v[4] * v[4], basis) == (2, 0, 0, 2, 0, 0)
-    assert expand_in_orbit_basis(v[4] * v[5], basis) == (0, 2, 2, 0, 0, 0)
-    assert expand_in_orbit_basis(v[5] * v[5], basis) == (2, 0, 0, 2, 0, 0)
+    assert expand(v[4] * v[4], basis) == (2, 0, 0, 2, 0, 0)
+    assert expand(v[4] * v[5], basis) == (0, 2, 2, 0, 0, 0)
+    assert expand(v[5] * v[5], basis) == (2, 0, 0, 2, 0, 0)
 
 
 def test_centralizer_basis_closure_all_pairs():
     basis = centralizer_algebra_basis(1, 1)
     for a in basis:
         for b in basis:
-            assert expand_in_orbit_basis(a * b, basis) is not None
+            assert expand(a * b, basis) is not None
 
 
 def test_expand_reports_remainder():
     basis = centralizer_algebra_basis(1, 1)
     stray = AlgebraElement.of(elem(2, "(1 3)(2 4)"))  # half an orbit sum
-    assert expand_in_orbit_basis(stray, basis) is None
+    assert expand(stray, basis) is None
+
+
+@lru_cache(maxsize=None)
+def _cached_basis(n, k):
+    return centralizer_algebra_basis(n, k)
+
+
+def _residual_expansion(x, basis):
+    """Read each orbit's coefficient at its minimum, subtract the scaled
+    orbit sum, and require a zero remainder."""
+    residual = dict(x.terms)
+    coeffs = []
+    for v in basis:
+        c = x.terms.get(min(v.terms), 0)
+        coeffs.append(c)
+        for g in v.terms:
+            remaining = residual.get(g, 0) - c
+            if remaining:
+                residual[g] = remaining
+            else:
+                residual.pop(g, None)
+    return None if residual else tuple(coeffs)
+
+
+_RATIONALS = st.sampled_from(
+    sorted({Fraction(a, b) for a in range(-6, 7) for b in range(1, 7)}))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(nk=st.sampled_from([(1, 1), (2, 1), (1, 2)]), data=st.data())
+def test_expansion_agrees_with_residual_reference(nk, data):
+    # random rational combinations of orbit sums, optionally missing one
+    # element of an orbit, carrying a stray term, or expanded in a basis
+    # with some orbits left out (so some keys lie in no orbit)
+    basis = _cached_basis(*nk)
+    level = sum(nk)
+    coeffs = data.draw(st.lists(_RATIONALS, min_size=len(basis),
+                                max_size=len(basis)))
+    terms = {g: c for c, v in zip(coeffs, basis) for g in v.terms}
+    change = data.draw(st.sampled_from(["none", "drop", "stray", "sub-basis"]))
+    if change == "drop":
+        orbit_ = data.draw(st.sampled_from(basis))
+        terms.pop(data.draw(st.sampled_from(sorted(orbit_.terms))))
+    elif change == "stray":
+        g = data.draw(st.sampled_from(full_group(level)))
+        terms[g] = terms.get(g, 0) + data.draw(_RATIONALS.filter(bool))
+    elif change == "sub-basis":
+        left_out = data.draw(st.sets(st.sampled_from(basis), min_size=1))
+        basis = tuple(v for v in basis if v not in left_out)
+    x = AlgebraElement(level, terms)
+    assert expand(x, basis) == _residual_expansion(x, basis)
 
 
 # --- defining relations -------------------------------------------------------------------------------
