@@ -10,13 +10,11 @@ from .treegroup import (
     LevelMismatch,
     LevelTooLarge,
     NotATreeAutomorphism,
-    Permutation,
     SubgroupSpec,
     TreeAutomorphism,
     UsageError,
     beta,
     beta_product,
-    beta_product_descending,
     embed_to,
     factorize,
     full_group,

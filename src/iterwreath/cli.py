@@ -803,8 +803,13 @@ def main(argv=None) -> int:
         return 3
     text = render(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"guard: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(f"# elapsed_ms={report.timing_ms:.1f}", file=sys.stderr)

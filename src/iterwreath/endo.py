@@ -34,7 +34,6 @@ from .treegroup import (
     UsageError,
     beta,
     beta_product,
-    beta_product_descending,
     embed_to,
     factorize,
     full_group,
@@ -262,7 +261,7 @@ def d_generator_table(n: int, m: int):
             table.append((f"b{i}^({shift})", elt))
     for size in range(1, m - n + 1):
         for indices in combinations(range(n + 1, m + 1), size):
-            w = beta_product_descending(m, indices)
+            w = beta_product(m, indices).inverse()
             label = "o(" + " ".join(f"b{j}" for j in reversed(indices)) + ")"
             table.append((label, orbit_sum(w, sub)))
     for label, elt in table:

@@ -19,7 +19,6 @@ from .treegroup import (
     TreeAutomorphism,
     beta,
     beta_product,
-    beta_product_descending,
     embed_to,
     full_group,
     group_order,
@@ -192,7 +191,7 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
                                frozenset(x * h for x in emb)))
     for size in range(1, k + 1):
         for indices in combinations(range(n + 1, ambient + 1), size):
-            w = beta_product_descending(ambient, indices)
+            w = beta_product(ambient, indices).inverse()
             elems = orbit(w, spec).elements
             for h in shifts:
                 label_sets.append((OrbitLabel("beta", None, indices, h),

@@ -7,6 +7,10 @@ meaning the node's two subtrees are exchanged.  It also stores `perm`, its
 leaf permutation as 0-based bytes (so levels stop at MAX_BYTE_LEVEL = 8), and
 `rank`, the int "1" + word in binary, which orders by level, then by word.
 
+`perm` is the only permutation form: `images` is its 1-based view,
+`cycle_string` reads the cycles off it, and `from_permutation` takes 1-based
+images and keeps exactly the maps that preserve the leaf blocks.
+
 Values are immutable and interned in one pool keyed by word and by `perm`, so
 equality is cheap and a product is one `bytes.translate`.  All functions here
 are pure; `reset_caches` empties the pool and the full-group cache.
@@ -47,95 +51,6 @@ def group_order(level: int) -> int:
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     return 1 << ((1 << level) - 1)
-
-
-class Permutation:
-    """A bijection of {1, ..., degree} in one-line form."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(images)}: {images!r}")
-        self.images = images
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(1, degree + 1))
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles) -> "Permutation":
-        """Build from disjoint cycles given as tuples of labels."""
-        images = list(range(1, degree + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
-                images[a - 1] = b
-        return cls(images)
-
-    @classmethod
-    def from_cycle_string(cls, degree: int, text: str) -> "Permutation":
-        """Parse cycle notation like "(1 3)(2 4)"; "e" is the identity."""
-        text = text.strip()
-        if text == "e":
-            return cls.identity(degree)
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError(f"bad cycle string: {text!r}")
-        cycles = [
-            tuple(int(part) for part in chunk.split())
-            for chunk in text[1:-1].split(")(")
-        ]
-        return cls.from_cycles(degree, cycles)
-
-    def __call__(self, label: int) -> int:
-        return self.images[label - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # "self after other": (self * other)(x) == self(other(x)).
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(self.images[i - 1] for i in other.images)
-
-    def inverse(self) -> "Permutation":
-        # the labels listed in the order of their images
-        return Permutation(sorted(range(1, self.degree + 1), key=self))
-
-    def cycles(self):
-        """Nontrivial cycles, each starting at its smallest label, sorted."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return tuple(out)
-
-    def cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "e"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()!r})"
 
 
 # --- swap-word plumbing ---------------------------------------------------
@@ -228,13 +143,13 @@ class TreeAutomorphism:
         return _from_word(level, tuple(word))
 
     @classmethod
-    def from_permutation(cls, level: int, perm) -> "TreeAutomorphism":
-        """Unique preimage of a block-structure-preserving permutation."""
+    def from_permutation(cls, level: int, images) -> "TreeAutomorphism":
+        """Unique preimage of a block-structure-preserving map of the labels
+        1..2**level, given by its images; any other map is rejected."""
         _check_level(level)
-        images = perm.images if isinstance(perm, Permutation) else tuple(perm)
+        images = tuple(images)
         if len(images) != 1 << level:
             raise ValueError(f"degree {len(images)} != 2**{level}")
-        Permutation(images)  # bijection check
         return _from_perm(level, bytes(v - 1 for v in images))
 
     # group operations
@@ -273,14 +188,23 @@ class TreeAutomorphism:
     def is_identity(self) -> bool:
         return not any(self.word)
 
-    def to_permutation(self) -> Permutation:
-        return Permutation(self.images)
-
     def word_string(self) -> str:
         return "".join(map(str, self.word))
 
     def cycle_string(self) -> str:
-        return self.to_permutation().cycle_string()
+        """Nontrivial cycles on the labels 1..2**level, each from its smallest
+        label, in label order, like "(1 3 2 4)(5 6)"; the identity is "e"."""
+        perm, seen, out = self.perm, set(), []
+        for start in range(len(perm)):
+            if start in seen or perm[start] == start:
+                continue
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(str(x + 1))
+                x = perm[x]
+            out.append("(" + " ".join(cycle) + ")")
+        return "".join(out) or "e"
 
     def __repr__(self) -> str:
         return f"TreeAutomorphism({self.level}, {self.word_string()!r})"
@@ -320,19 +244,19 @@ def _from_perm(level, perm):
     g = _pool.get(perm)
     if g is not None:
         return g
+    # Each half is rotated onto 0..h-1 before it recurses; a label from the
+    # other half lands outside it, so every map that is not a block-preserving
+    # bijection fails this range check at some depth.
+    if max(perm) >> level:
+        raise NotATreeAutomorphism(
+            f"leaf images leave their block in a level-{level} subtree")
     if level == 0:
         return _intern(0, (), perm)
     h = 1 << (level - 1)
     s = int(perm[0] >= h)
-    left = perm[:h].translate(_ROTATE[-s * h])
-    right = perm[h:].translate(_ROTATE[(s - 1) * h])
-    if max(left) >= h or max(right) >= h:
-        raise NotATreeAutomorphism(
-            f"permutation splits the leaf blocks at level {level}: "
-            f"{tuple(v + 1 for v in perm)}")
-    word = _merge_word(level, s, _from_perm(level - 1, left).word,
-                       _from_perm(level - 1, right).word)
-    return _intern(level, word, perm)
+    left = _from_perm(level - 1, perm[:h].translate(_ROTATE[-s * h]))
+    right = _from_perm(level - 1, perm[h:].translate(_ROTATE[(s - 1) * h]))
+    return _intern(level, _merge_word(level, s, left.word, right.word), perm)
 
 
 def identity(level: int) -> TreeAutomorphism:
@@ -355,25 +279,18 @@ def beta_product(level: int, indices) -> TreeAutomorphism:
     return math.prod((beta(level, i) for i in indices), start=identity(level))
 
 
-def beta_product_descending(level: int, indices) -> TreeAutomorphism:
-    """Product of generators written largest index first (it acts last).
-
-    This is the inverse of beta_product on the same index set, since the
-    generators are involutions.
-    """
-    return beta_product(level, indices).inverse()
-
-
 def perm_embed(g: TreeAutomorphism) -> TreeAutomorphism:
     """Inclusion into the next level fixing the new labels 2**n+1..2**(n+1)."""
-    zeros = (0,) * len(g.word)
-    return _from_word(g.level + 1, _merge_word(g.level + 1, 0, g.word, zeros))
+    _check_level(g.level + 1)
+    h = len(g.perm)
+    return _from_perm(g.level + 1, g.perm + _ROTATE[h][:h])
 
 
 def hat_embed(g: TreeAutomorphism) -> TreeAutomorphism:
     """Copy of g acting on the shifted labels 2**n+k instead of k."""
-    zeros = (0,) * len(g.word)
-    return _from_word(g.level + 1, _merge_word(g.level + 1, 0, zeros, g.word))
+    _check_level(g.level + 1)
+    h = len(g.perm)
+    return _from_perm(g.level + 1, _ROTATE[0][:h] + g.perm.translate(_ROTATE[h]))
 
 
 def embed_to(g: TreeAutomorphism, level: int) -> TreeAutomorphism:

@@ -6,9 +6,7 @@ import pytest
 from iterwreath import (
     AlgebraElement,
     LevelMismatch,
-    Permutation,
     SubgroupSpec,
-    TreeAutomorphism,
     beta,
     centralizes,
     class_sum,
@@ -19,10 +17,7 @@ from iterwreath import (
 )
 from iterwreath.algebra import centralizes_exhaustive
 
-
-def elem(level, text):
-    p = Permutation.from_cycle_string(1 << level, text)
-    return TreeAutomorphism.from_permutation(level, p)
+from cycle_notation import elem
 
 
 def root_orbit_sum(n):

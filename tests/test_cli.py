@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,44 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     blob = json.loads(target.read_text())
     assert blob["verdict"] == "PASS"
+
+
+def test_out_flag_unwritable_path_is_a_guard_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert main(["center", "1", "--format", "json", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard: cannot write ")
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+# Every subcommand but verify-all, with each positional drawn from these
+# values: 252 argument lists.  The value 2 would multiply the run time by 8.
+GRID_VALUES = ("-1", "0", "1", "9")
+GRID_COMMANDS = [command for command in _COMMANDS if command != "verify-all"]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_small_argument_grid_reports_or_guards(capsys, command):
+    for values in product(GRID_VALUES, repeat=len(_positionals(command))):
+        argv = [command, *values, "--format", "json"]
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2), (argv, captured.err)
+            assert "Traceback" not in captured.err, argv
+            if code == 0:
+                blob = json.loads(captured.out)
+                assert blob["subcommand"] == command
+                assert {"parameters", "payload", "verdict"} <= set(blob), argv
+            else:
+                assert captured.out == "", argv
+                assert captured.err.startswith("guard: "), argv
+                assert len(captured.err.splitlines()) == 1, argv
+            runs.append((code, captured.out))
+        assert runs[0] == runs[1], argv
 
 
 def test_end_basis_reports_dimension(capsys):

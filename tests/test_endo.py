@@ -8,9 +8,7 @@ from iterwreath import (
     AlgebraElement,
     HomSpaceEmpty,
     LevelTooLarge,
-    Permutation,
     SubgroupSpec,
-    TreeAutomorphism,
     beta,
     centralizer_algebra_basis,
     centralizes,
@@ -35,10 +33,7 @@ from iterwreath.endo import (
     id_factor_span_check,
 )
 
-
-def elem(level, text):
-    p = Permutation.from_cycle_string(1 << level, text)
-    return TreeAutomorphism.from_permutation(level, p)
+from cycle_notation import elem
 
 
 # --- tensor bases -----------------------------------------------------------

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from iterwreath import (
     AlgebraElement,
     LevelTooLarge,
-    Permutation,
     SubgroupSpec,
-    TreeAutomorphism,
     beta,
     center,
     center_closed_form,
@@ -34,10 +32,7 @@ from iterwreath import (
     right_coset_reps,
 )
 
-
-def elem(level, text):
-    p = Permutation.from_cycle_string(1 << level, text)
-    return TreeAutomorphism.from_permutation(level, p)
+from cycle_notation import elem
 
 
 def expand(x, basis):

@@ -7,12 +7,10 @@ from iterwreath import (
     LevelMismatch,
     LevelTooLarge,
     NotATreeAutomorphism,
-    Permutation,
     SubgroupSpec,
     TreeAutomorphism,
     beta,
     beta_product,
-    beta_product_descending,
     embed_to,
     factorize,
     full_group,
@@ -21,36 +19,35 @@ from iterwreath import (
     identity,
     perm_embed,
 )
-from iterwreath.treegroup import MAX_BYTE_LEVEL
+from iterwreath.treegroup import MAX_BYTE_LEVEL, _merge_word
 
-
-def perm(degree, text):
-    return Permutation.from_cycle_string(degree, text)
-
-
-def elem(level, text):
-    return TreeAutomorphism.from_permutation(level, perm(1 << level, text))
+from cycle_notation import elem, images
 
 
 # --- permutations -----------------------------------------------------------
 
 def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3, 4))
+    for bad in [(1, 1, 3, 4), (1, 2, 4, 4), (2, 2, 3, 4)]:
+        with pytest.raises(NotATreeAutomorphism):
+            TreeAutomorphism.from_permutation(2, bad)
 
 
 def test_permutation_cycle_string_roundtrip():
-    for text in ["e", "(1 2)", "(1 3)(2 4)", "(1 3 2 4)", "(1 5)(2 6)(3 7)(4 8)"]:
-        degree = 8 if "5" in text else 4
-        p = perm(degree, text)
-        assert p.cycle_string() == text
-        assert p * p.inverse() == Permutation.identity(degree)
+    for text in ["e", "(1 2)", "(1 3)(2 4)", "(1 3 2 4)", "(1 5)(2 6)(3 7)(4 8)",
+                 "(1 2)(5 7 6 8)"]:
+        level = 3 if "5" in text else 2
+        g = elem(level, text)
+        assert g.images == images(1 << level, text)
+        assert g.cycle_string() == text
+        assert (g * g.inverse()).cycle_string() == "e"
 
 
 def test_permutation_compose_is_after():
-    a = perm(4, "(1 2)")
-    b = perm(4, "(1 3)(2 4)")
-    assert (a * b).cycle_string() == "(1 3 2 4)"
+    a = elem(2, "(1 2)")
+    b = elem(2, "(1 3)(2 4)")
+    ab = a * b
+    assert ab.cycle_string() == "(1 3 2 4)"
+    assert ab.images == tuple(a.images[v - 1] for v in b.images)
 
 
 # --- identity and generators --------------------------------------------------
@@ -64,7 +61,7 @@ def test_identity_degenerate_level():
 def test_identity_level_two():
     e = identity(2)
     assert e.word_string() == "000"
-    assert e.to_permutation() == Permutation.identity(4)
+    assert e.images == (1, 2, 3, 4)
 
 
 def test_identity_is_neutral_on_whole_level_two_group():
@@ -85,9 +82,10 @@ def test_beta_matches_transposition_product_formula():
     for n in range(1, 5):
         for i in range(1, n + 1):
             half = 1 << (i - 1)
-            cycles = [(j, half + j) for j in range(1, half + 1)]
-            expected = Permutation.from_cycles(1 << n, cycles)
-            assert beta(n, i).to_permutation() == expected
+            expected = tuple(x + half if x <= half else
+                             x - half if x <= 2 * half else x
+                             for x in range(1, (1 << n) + 1))
+            assert beta(n, i).images == expected
 
 
 def test_beta_index_out_of_range():
@@ -116,13 +114,6 @@ def test_beta_product_rejects_non_increasing():
         beta_product(3, [2, 2])
     with pytest.raises(ValueError):
         beta_product(3, [3, 1])
-
-
-def test_beta_product_descending_is_inverse_of_ascending():
-    for indices in [(2,), (3,), (2, 3), (1, 2, 3)]:
-        asc = beta_product(3, indices)
-        desc = beta_product_descending(3, indices)
-        assert asc * desc == identity(3)
 
 
 # --- multiplication, inversion, conjugation ------------------------------------
@@ -185,7 +176,7 @@ def test_conjugate_frozen_example():
 
 def test_conjugation_preserves_cycle_type():
     def cycle_type(g):
-        return sorted(len(c) for c in g.to_permutation().cycles())
+        return sorted(c.count(" ") + 1 for c in g.cycle_string().split(")")[:-1])
 
     for g in full_group(2):
         for h in full_group(2):
@@ -194,7 +185,7 @@ def test_conjugation_preserves_cycle_type():
 
 # --- the permutation representation --------------------------------------------
 
-def test_to_permutation_frozen_examples():
+def test_cycle_string_frozen_examples():
     assert TreeAutomorphism.from_word("100").cycle_string() == "(1 3)(2 4)"
     assert TreeAutomorphism.from_word("010").cycle_string() == "(1 2)"
     assert TreeAutomorphism.from_word("000").cycle_string() == "e"
@@ -215,26 +206,42 @@ def test_permutation_representation_is_injective_homomorphism(n):
 
 
 def test_from_permutation_frozen_example():
-    g = TreeAutomorphism.from_permutation(2, perm(4, "(1 3 2 4)"))
+    g = TreeAutomorphism.from_permutation(2, images(4, "(1 3 2 4)"))
     assert g.word_string() == "101"
 
 
 def test_from_permutation_rejects_block_splitter():
     with pytest.raises(NotATreeAutomorphism):
-        TreeAutomorphism.from_permutation(2, perm(4, "(1 2 3)"))
+        TreeAutomorphism.from_permutation(2, images(4, "(1 2 3)"))
 
 
 def test_from_permutation_rejects_wrong_degree():
     with pytest.raises(ValueError):
-        TreeAutomorphism.from_permutation(2, perm(8, "e"))
+        TreeAutomorphism.from_permutation(2, images(8, "e"))
 
 
 def test_from_permutation_roundtrip_level_three():
-    # elements are interned: both constructors return the pooled object
+    # elements are interned: every constructor returns the pooled object
     for g in full_group(3):
-        assert TreeAutomorphism.from_permutation(3, g.to_permutation()) == g
+        assert elem(3, g.cycle_string()) is g
         assert TreeAutomorphism.from_permutation(3, g.images) is g
         assert TreeAutomorphism.from_word(g.word) is g
+
+
+@pytest.mark.parametrize("level, values", [(0, range(5)), (1, range(5)),
+                                           (2, range(1, 5))])
+def test_from_permutation_accepts_exactly_the_group(level, values):
+    # every map into `values` (level 2: all 256 maps of 1..4); a label out of
+    # range, a repeated label or a split leaf block must raise
+    accepted = []
+    for imgs in product(values, repeat=1 << level):
+        try:
+            g = TreeAutomorphism.from_permutation(level, imgs)
+        except ValueError:
+            continue
+        assert g.images == imgs
+        accepted.append(g)
+    assert sorted(accepted) == list(full_group(level))
 
 
 # --- embeddings -----------------------------------------------------------------
@@ -246,6 +253,22 @@ def test_perm_embed_keeps_cycle_notation():
     assert perm_embed(identity(3)) == identity(4)
     for g in full_group(2):
         assert perm_embed(g).cycle_string() == g.cycle_string()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_embeddings_match_merged_swap_words(n):
+    # the embeddings are built from perm bytes; the swap words say the same
+    h = 1 << n
+    for g in full_group(n):
+        zeros = (0,) * len(g.word)
+        lower = perm_embed(g)
+        assert lower is TreeAutomorphism.from_word(
+            _merge_word(n + 1, 0, g.word, zeros))
+        assert lower.images == g.images + tuple(range(h + 1, 2 * h + 1))
+        upper = hat_embed(g)
+        assert upper is TreeAutomorphism.from_word(
+            _merge_word(n + 1, 0, zeros, g.word))
+        assert upper.images == tuple(range(1, h + 1)) + tuple(v + h for v in g.images)
 
 
 def test_perm_embed_is_homomorphism_on_level_two():
@@ -314,7 +337,8 @@ def test_full_enumeration_guard():
     for build in (lambda: identity(above), lambda: beta(above, 1),
                   lambda: TreeAutomorphism.from_word("0" * ((1 << above) - 1)),
                   lambda: TreeAutomorphism.from_permutation(
-                      above, range(1, (1 << above) + 1))):
+                      above, range(1, (1 << above) + 1)),
+                  lambda: perm_embed(root), lambda: hat_embed(root)):
         with pytest.raises(LevelTooLarge):
             build()
 
