@@ -20,6 +20,7 @@ from .treegroup import (
     SubgroupSpec,
     TreeAutomorphism,
     identity,
+    products,
 )
 
 
@@ -97,10 +98,10 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            out = {}
-            for g, a in self.terms.items():
-                for h, b in other.terms.items():
-                    k = g * h
+            out, keys = {}, iter(products(self.terms, other.terms))
+            for a in self.terms.values():
+                for b in other.terms.values():
+                    k = next(keys)
                     out[k] = out.get(k, 0) + a * b
             return AlgebraElement(self.level, out)
         return self.scaled(other)

@@ -1,17 +1,27 @@
 """Bases and generating sets for endomorphisms of iterated induction/restriction.
 
 The space of natural transformations of Ind^k Res^l at level n is realized
-inside the tensor bimodule of the level-(n+k-l) and level-n group algebras
-over the level-(n-l) one.  Its basis elements are pairs (left element,
-right-coset representative); conjugation permutes those pairs after a
-renormalization step that re-expresses a conjugated representative through
-the coset structure.
+inside the tensor bimodule of the level-m and level-n group algebras over the
+level-b one, m = n+k-l and b = n-l.  Its basis elements are tensors a (x) r
+of a left element and a right-coset representative of the embedded level-b
+group.  A level-n element g acts by a (x) r -> (g*a*y) (x) r', where the
+renormalization r * g^-1 = y * r' moves the level-b prefix y into the left.
+
+Internally a tensor is the integer left_index * R + rep_index: lefts in word
+order, the R representatives sorted by (coset_b, coset_indices), so integer
+order is TensorBasisElement order.  Since y and r' depend on (r, g) only, the
+orbit search reads one table entry per (rep, generator) and never factorizes
+per tensor; composition reads a table over rep pairs, r1 * r2 = y * r'.
+TensorBasisElement values are built only at the boundary: tensor_basis,
+conj_action_tensor and the end-basis vectors a caller reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -40,6 +50,7 @@ from .treegroup import (
     group_order,
     hat_embed,
     identity,
+    products,
 )
 
 MAX_POWER_EXPONENT = 8
@@ -85,58 +96,112 @@ def _validate_params(n: int, k: int, l: int) -> None:
 def tensor_basis(n: int, k: int, l: int):
     """All pairs (left element, coset representative); the tensor basis."""
     _validate_params(n, k, l)
-    reps = coset_rep_pairs(n - l, n)
-    out = tuple(sorted(
-        TensorBasisElement(a, b, indices, n - l)
-        for a in full_group(n + k - l)
-        for b, indices, _ in reps))
-    expected = group_order(n + k - l) * group_order(n) // group_order(n - l)
-    if len(out) != expected:
-        raise VerificationError(
-            f"tensor basis size {len(out)}, expected {expected}")
-    return out
+    index = _tensor_index(n + k - l, n, n - l)
+    return tuple(map(index.tensor, range(index.size)))
 
 
-def _renormalize(left: TreeAutomorphism, right: TreeAutomorphism,
-                 base_level: int):
-    """The tensor left (x) right renormalized through the coset transversal.
+class _TensorIndex:
+    """Integer tensors t = left_index * R + rep_index for one level triple."""
 
-    Returns (tensor, factorization of right); the factorization's base part
-    is the prefix that crossed into the left factor.
-    """
-    split = factorize(right, base_level)
-    chain = math.prod(split.hats, start=identity(right.level))
-    tensor = TensorBasisElement(left * embed_to(split.base, left.level),
-                                chain, split.indices, base_level)
-    return tensor, split
+    def __init__(self, m: int, n: int, b: int):
+        self.m, self.b, self.lefts = m, b, full_group(m)
+        self.reps = sorted(coset_rep_pairs(b, n), key=lambda rep: rep[:2])
+        self.pairs = {}
+        self.rep_index = {rep[:2]: i for i, rep in enumerate(self.reps)}
+        self.size = len(self.lefts) * len(self.reps)
+        expected = group_order(m) * group_order(n) // group_order(b)
+        if self.size != expected:
+            raise VerificationError(
+                f"tensor basis size {self.size}, expected {expected}")
+
+    def encode(self, left: TreeAutomorphism, rep: int) -> int:
+        # a level-m rank is |A_m| plus the word read in binary
+        return (left.rank - len(self.lefts)) * len(self.reps) + rep
+
+    def number(self, t: TensorBasisElement) -> int:
+        return self.encode(t.left, self.rep_index[t.coset_b, t.coset_indices])
+
+    def tensor(self, t: int) -> TensorBasisElement:
+        left, rep = divmod(t, len(self.reps))
+        return TensorBasisElement(self.lefts[left], *self.reps[rep][:2], self.b)
+
+    def split(self, right: TreeAutomorphism):
+        """Renormalize right = y * rep: (rep index, y at the left level)."""
+        f = factorize(right, self.b)
+        chain = math.prod(f.hats, start=identity(right.level))
+        return self.rep_index[chain, f.indices], embed_to(f.base, self.m)
+
+    def product(self, r1: int, r2: int):
+        """The rep-pair table, filled on use: the split of rep r1 * rep r2."""
+        if (r1, r2) not in self.pairs:
+            self.pairs[r1, r2] = self.split(self.reps[r1][2] * self.reps[r2][2])
+        return self.pairs[r1, r2]
+
+    def compose(self, x: dict, y: dict) -> dict:
+        """compose_tensor_sums on integer tensors."""
+        out: dict = {}
+        width, lefts = len(self.reps), self.lefts
+        for t2, d in y.items():
+            for t1, c in x.items():
+                rep, crossed = self.product(t1 % width, t2 % width)
+                key = self.encode(
+                    lefts[t2 // width] * lefts[t1 // width] * crossed, rep)
+                out[key] = out.get(key, 0) + c * d
+        return {t: c for t, c in out.items() if c}
+
+
+# one index per level triple, shared by every caller, like full_group
+_tensor_index = lru_cache(maxsize=None)(_TensorIndex)
 
 
 def _conj_action_detail(h: TreeAutomorphism, t: TensorBasisElement):
     """Conjugate the tensor inside the bimodule and renormalize.
 
-    h acts by h * (a (x) x) * h^-1 = (h*a) (x) (x*h^-1); the right factor is
-    re-expressed through the coset transversal and its level-(n-l) prefix
-    crosses the tensor into the left factor.  Restricted to the embedded
-    level-(n-l) subgroup this is plain conjugation of both factors, which is
-    the action the endomorphism basis needs; over the whole level-n group it
-    is still a left action (the naive two-sided conjugation formula is not).
-
-    Returns (image, crossed, index_changed), where `crossed` is the prefix
-    that moved left and index_changed records whether the swap-index part of
-    the representative moved.
+    Restricted to the embedded level-(n-l) subgroup this is plain conjugation
+    of both factors, which is the action the endomorphism basis needs; over
+    the whole level-n group it is still a left action (the naive two-sided
+    conjugation formula is not).  Returns (image, crossed, index_changed):
+    the prefix that moved left (at the left level), and whether the
+    swap-index part of the representative moved.
     """
-    n = t.coset_b.level
+    n, m = t.coset_b.level, t.left.level
     if h.level != n:
         raise ValueError(f"acting element level {h.level}, expected {n}")
-    image, split = _renormalize(embed_to(h, t.left.level) * t.left,
-                                t.coset_rep() * h.inverse(), t.base_level)
-    return image, split.base, split.indices != t.coset_indices
+    index = _tensor_index(m, n, t.base_level)
+    rep, crossed = index.split(t.coset_rep() * h.inverse())
+    image = index.tensor(index.encode(embed_to(h, m) * t.left * crossed, rep))
+    return image, crossed, image.coset_indices != t.coset_indices
 
 
 def conj_action_tensor(h: TreeAutomorphism, t: TensorBasisElement) -> TensorBasisElement:
     """Left action of a level-n element on the tensor basis."""
-    image, _, _ = _conj_action_detail(h, t)
-    return image
+    return _conj_action_detail(h, t)[0]
+
+
+class TensorOrbits(Sequence):
+    """End-basis vectors at l > 0: tuples of tensors, built on access.
+
+    `roots` maps each integer tensor to the least member of its orbit; the
+    orbits are grouped on first access, in order of their least members.
+    """
+
+    def __init__(self, index: _TensorIndex, roots: list):
+        self.index, self.roots = index, roots
+
+    @cached_property
+    def orbits(self) -> list:
+        groups: dict = {}
+        for t, root in enumerate(self.roots):
+            groups.setdefault(root, []).append(t)
+        return list(groups.values())
+
+    def __len__(self) -> int:
+        return len(self.orbits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return tuple(map(self.index.tensor, self.orbits[i]))
 
 
 @dataclass(frozen=True)
@@ -146,7 +211,8 @@ class EndBasis:
     The commutation constraint on the space comes from the level-(n-l)
     subgroup, so the orbits are taken under its embedded copy.  For l = 0
     the vectors are plain algebra elements; otherwise each vector is the
-    coefficient-1 sum over a tuple of tensor basis elements.
+    coefficient-1 sum over a tuple of tensor basis elements, and `vectors`
+    is a TensorOrbits sequence that builds them on access.
     """
 
     n: int
@@ -169,18 +235,13 @@ def compose_tensor_sums(x: dict, y: dict) -> dict:
     coset transversal.  Keys are tensor basis elements, values exact
     rational coefficients; zero terms are dropped.
     """
-    out: dict = {}
-    for t2, d in y.items():
-        rep2 = t2.coset_rep()
-        for t1, c in x.items():
-            key, _ = _renormalize(t2.left * t1.left, t1.coset_rep() * rep2,
-                                  t1.base_level)
-            coeff = out.get(key, 0) + c * d
-            if coeff:
-                out[key] = coeff
-            else:
-                out.pop(key, None)
-    return out
+    t = next(iter(x or y), None)
+    if t is None:
+        return {}
+    index = _tensor_index(t.left.level, t.coset_b.level, t.base_level)
+    out = index.compose({index.number(s): c for s, c in x.items()},
+                        {index.number(s): c for s, c in y.items()})
+    return {index.tensor(s): c for s, c in out.items()}
 
 
 def end_basis_closure(basis: "EndBasis"):
@@ -193,51 +254,60 @@ def end_basis_closure(basis: "EndBasis"):
     if basis.l == 0:
         failure = closure_failure(basis.vectors)
         return failure is None, failure
-    index = orbit_index(basis.vectors)
-    vectors = [dict.fromkeys(vec, 1) for vec in basis.vectors]
-    for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            product = compose_tensor_sums(a, b)
-            if expand_in_orbit_basis(product, index, basis.dimension) is None:
+    n, m = basis.n, basis.n + basis.k - basis.l
+    tensors = _tensor_index(m, n, n - basis.l)
+    sums = [dict.fromkeys(map(tensors.number, vec), 1) for vec in basis.vectors]
+    index = orbit_index(sums)
+    for i, a in enumerate(sums):
+        for j, b in enumerate(sums):
+            if expand_in_orbit_basis(tensors.compose(a, b), index,
+                                     basis.dimension) is None:
                 return False, (i, j)
     return True, None
 
 
-def end_ind_res_basis(n: int, k: int, l: int) -> EndBasis:
-    basis = tensor_basis(n, k, l)
-    gens = SubgroupSpec.embedded(n - l).generators(n)
+def _generator_table(index: _TensorIndex, gens):
+    """Per (rep r, generator g): the split of r * g^-1, as (rep index, y)."""
+    return [[index.split(rep * g.inverse()) for g in gens]
+            for _, _, rep in index.reps]
 
-    parent = {t: t for t in basis}
+
+def end_ind_res_basis(n: int, k: int, l: int) -> EndBasis:
+    """Orbit sums of the tensor basis under the embedded level-(n-l) group,
+    from a union-find over integer tensors."""
+    _validate_params(n, k, l)
+    m = n + k - l
+    index = _tensor_index(m, n, n - l)
+    gens = SubgroupSpec.embedded(n - l).generators(n)
+    width, parent = len(index.reps), list(range(index.size))
 
     def find(t):
-        while parent[t] is not t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
         return t
 
-    changes = 0
-    for t in basis:
-        for g in gens:
-            image, _, index_changed = _conj_action_detail(g, t)
-            if index_changed:
-                changes += 1
-            ra, rb = find(t), find(image)
-            if ra is not rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups = {}
-    for t in basis:
-        groups.setdefault(find(t), []).append(t)
-    orbits = [tuple(sorted(members)) for members in groups.values()]
-    orbits.sort()
-
+    movers, changes = {}, 0  # movers[g, y][a]: the tensor (g * a * y) (x) rep 0
+    for r, row in enumerate(_generator_table(index, gens)):
+        for g, (target, y) in zip(gens, row):
+            changes += index.reps[target][1] != index.reps[r][1]
+            if (g, y) not in movers:
+                movers[g, y] = [index.encode(gay, 0) for gay in products(
+                    [embed_to(g, m)], [a * y for a in index.lefts])]
+            for a, b in zip(range(r, index.size, width), movers[g, y]):
+                ra, rb = find(a), find(b + target)
+                if ra < rb:
+                    parent[rb] = ra
+                elif rb < ra:
+                    parent[ra] = rb
+    for t in range(index.size):  # a parent never exceeds its child
+        parent[t] = parent[parent[t]]
+    vectors = TensorOrbits(index, parent)
     if l == 0:
-        vectors = tuple(
-            AlgebraElement.from_elements(n + k, (t.left for t in members))
-            for members in orbits)
-    else:
-        vectors = tuple(orbits)
-    return EndBasis(n, k, l, len(vectors), vectors, n - l, changes)
+        vectors = tuple(AlgebraElement.from_elements(
+            m, map(index.lefts.__getitem__, orbit)) for orbit in vectors.orbits)
+    dimension = sum(map(int.__eq__, parent, range(index.size)))
+    return EndBasis(n, k, l, dimension, vectors, n - l,
+                    changes * len(index.lefts))
 
 
 # --- generating sets ---------------------------------------------------------

@@ -150,6 +150,9 @@ class TreeAutomorphism:
         images = tuple(images)
         if len(images) != 1 << level:
             raise ValueError(f"degree {len(images)} != 2**{level}")
+        if not all(1 <= v <= len(images) for v in images):
+            raise NotATreeAutomorphism(
+                f"leaf images leave the labels 1..{len(images)}")
         return _from_perm(level, bytes(v - 1 for v in images))
 
     # group operations
@@ -277,6 +280,19 @@ def beta_product(level: int, indices) -> TreeAutomorphism:
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing: {indices}")
     return math.prod((beta(level, i) for i in indices), start=identity(level))
+
+
+def products(lefts, rights) -> list:
+    """[g * h for g in lefts for h in rights]; each g's table is built once."""
+    out = []
+    for g in lefts:
+        table, level = g.perm.ljust(256, b"\0"), g.level
+        for h in rights:
+            if h.level != level:
+                raise LevelMismatch(f"levels {level} and {h.level}")
+            perm = h.perm.translate(table)
+            out.append(_pool.get(perm) or _from_perm(level, perm))
+    return out
 
 
 def perm_embed(g: TreeAutomorphism) -> TreeAutomorphism:

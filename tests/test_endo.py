@@ -14,6 +14,7 @@ from iterwreath import (
     centralizes,
     conj_action_tensor,
     d_generator_table,
+    embed_to,
     end_ind_res_basis,
     factorize,
     full_group,
@@ -51,6 +52,16 @@ def test_tensor_basis_without_restriction_is_whole_level():
     assert len(basis) == group_order(2)
     assert all(t.coset_b.is_identity and t.coset_indices == () for t in basis)
     assert [t.left for t in basis] == list(full_group(2))
+
+
+@pytest.mark.parametrize("n,k,l", [(1, 1, 0), (2, 1, 1), (1, 2, 1), (2, 2, 1),
+                                   (3, 1, 1), (3, 2, 2)])
+def test_tensor_basis_is_built_in_sorted_order(n, k, l):
+    # lefts in word order times reps in (coset_b, indices) order is exactly
+    # the dataclass order, so no sort is needed
+    basis = tensor_basis(n, k, l)
+    assert basis == tuple(sorted(basis))
+    assert len(set(basis)) == len(basis)
 
 
 def test_tensor_basis_rejects_over_restriction():
@@ -171,8 +182,10 @@ def test_end_basis_vectors_partition_tensor_basis():
         assert seen == set(tensor_basis(n, k, l))
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 2), (3, 1)])
 def test_end_basis_no_restriction_equals_centralizer_basis(n, k):
+    # (3, 1) has orbits of up to 128 tensors, which the union-find only
+    # groups right after its final path compression
     eb = end_ind_res_basis(n, k, 0)
     reference = centralizer_algebra_basis(n, k)
     assert eb.dimension == len(reference)
@@ -183,6 +196,85 @@ def test_end_basis_records_index_renormalizations():
     for n, k, l in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]:
         eb = end_ind_res_basis(n, k, l)
         assert eb.index_change_count == 0
+
+
+def _reference_end_basis(n, k, l):
+    """(dimension, vectors, index changes) from a union-find over tensors.
+
+    Written against the public tensor action only: no integer indices, no
+    renormalisation tables.
+    """
+    basis = tensor_basis(n, k, l)
+    gens = SubgroupSpec.embedded(n - l).generators(n)
+    parent = {t: t for t in basis}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    changes = 0
+    for t in basis:
+        for g in gens:
+            image = conj_action_tensor(g, t)
+            changes += image.coset_indices != t.coset_indices
+            a, b = sorted((find(t), find(image)))
+            parent[b] = a
+    orbits = {}
+    for t in basis:
+        orbits.setdefault(find(t), []).append(t)
+    vectors = sorted(tuple(sorted(members)) for members in orbits.values())
+    if l == 0:
+        vectors = [AlgebraElement.from_elements(n + k, (t.left for t in vec))
+                   for vec in vectors]
+    return len(vectors), tuple(vectors), changes
+
+
+REFERENCE_CASES = [(1, 1, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1), (2, 1, 1),
+                   (2, 2, 1), (3, 1, 1), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("n,k,l", REFERENCE_CASES)
+def test_end_basis_matches_dataclass_union_find(n, k, l):
+    eb = end_ind_res_basis(n, k, l)
+    assert (eb.dimension, tuple(eb.vectors), eb.index_change_count) == \
+        _reference_end_basis(n, k, l)
+    assert len(eb.vectors) == eb.dimension
+
+
+@pytest.mark.parametrize("n,k,l,corrupt", [
+    (1, 1, 0, "crossed"), (1, 2, 0, "crossed"), (2, 1, 1, "crossed"),
+    (3, 1, 1, "crossed"), (2, 1, 1, "target"), (3, 1, 1, "target")])
+def test_corrupted_renormalisation_table_is_caught(monkeypatch, n, k, l, corrupt):
+    # one wrong (rep, generator) entry must change the dimension or the
+    # vectors, so the reference comparison above can fail; at l = 0 there is
+    # a single representative, so only the crossed prefix can be wrong
+    reference = _reference_end_basis(n, k, l)[:2]
+    original = endo._generator_table
+
+    def corrupted(index, gens):
+        table = original(index, gens)
+        target, y = table[0][0]
+        if corrupt == "target":
+            table[0][0] = ((target + 1) % len(index.reps), y)
+        else:
+            table[0][0] = (target, y * embed_to(gens[0], index.m))
+        return table
+
+    monkeypatch.setattr(endo, "_generator_table", corrupted)
+    eb = end_ind_res_basis(n, k, l)
+    assert (eb.dimension, tuple(eb.vectors)) != reference
+
+
+def test_end_basis_vectors_are_a_sequence_of_tensor_tuples():
+    eb = end_ind_res_basis(2, 1, 1)
+    vectors = tuple(eb.vectors)
+    assert eb.vectors[3] == vectors[3]
+    assert eb.vectors[-1] == vectors[-1]
+    assert eb.vectors[2:7:2] == vectors[2:7:2]
+    assert vectors[5] in eb.vectors
+    with pytest.raises(IndexError):
+        eb.vectors[len(vectors)]
 
 
 def test_end_basis_rejects_over_restriction():

@@ -5,7 +5,9 @@ formats; the bytes must equal the fixtures under tests/golden/.  verify-all
 takes about 5 s in-process, so it is rendered here only on recapture: its
 default-seed JSON is tests/golden/verify-all.json, which acceptance
 criterion 15 byte-compares, and benchmarks/reference holds the
---allow-large run.  After an intended output change, recapture with
+--allow-large run.  tests/golden/end-basis_3_2_1.json (98304 vectors) is
+left out of COMMANDS to keep this suite short; a CI step byte-compares it.
+After an intended output change, recapture with
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -19,7 +19,7 @@ from iterwreath import (
     identity,
     perm_embed,
 )
-from iterwreath.treegroup import MAX_BYTE_LEVEL, _merge_word
+from iterwreath.treegroup import MAX_BYTE_LEVEL, _merge_word, products
 
 from cycle_notation import elem, images
 
@@ -226,6 +226,18 @@ def test_from_permutation_roundtrip_level_three():
         assert elem(3, g.cycle_string()) is g
         assert TreeAutomorphism.from_permutation(3, g.images) is g
         assert TreeAutomorphism.from_word(g.word) is g
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("bad", ["zero", "one past", "300"])
+def test_from_permutation_rejects_labels_out_of_range(level, bad):
+    # labels outside 1..2**level, also those no byte can hold, are a bad map
+    value = {"zero": 0, "one past": 2 ** level + 1, "300": 300}[bad]
+    for position in (0, (1 << level) - 1):
+        imgs = list(range(1, (1 << level) + 1))
+        imgs[position] = value
+        with pytest.raises(NotATreeAutomorphism):
+            TreeAutomorphism.from_permutation(level, imgs)
 
 
 @pytest.mark.parametrize("level, values", [(0, range(5)), (1, range(5)),
@@ -463,6 +475,23 @@ def test_axioms_random_spot_checks_levels_three_four():
             a, b, c = (group[rng.randrange(len(group))] for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert a * a.inverse() == e
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_products_match_pairwise_multiplication(level):
+    rng = random.Random(level)
+    group = full_group(level)
+    lefts = [rng.choice(group) for _ in range(5)]
+    rights = [rng.choice(group) for _ in range(7)]
+    assert products(lefts, rights) == [g * h for g in lefts for h in rights]
+    assert products(lefts, []) == [] and products([], rights) == []
+
+
+def test_products_reject_mixed_levels():
+    with pytest.raises(LevelMismatch):
+        products([beta(2, 1)], [identity(2), beta(3, 1)])
+    with pytest.raises(LevelMismatch):
+        products([beta(2, 1), beta(3, 1)], [identity(2)])
 
 
 def test_embed_to_and_power():
