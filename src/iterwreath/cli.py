@@ -68,6 +68,17 @@ def algebra_text(x: AlgebraElement) -> str:
                       for g, c in x.canonical_terms())
 
 
+def tensor_json(t) -> dict:
+    return {"left": element_json(t.left), "coset_b": element_json(t.coset_b),
+            "indices": list(t.coset_indices)}
+
+
+def coset_rows(system) -> list:
+    return [[r.cycle_string(), m.cycle_string(), s]
+            for r, m, s in zip(system.stated_representatives,
+                               system.representatives, system.sizes)]
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_enumerate(args) -> Report:
@@ -149,9 +160,7 @@ def _cmd_right_cosets(args) -> Report:
     }
     columns = ["stated_rep", "canonical_rep", "size"]
     if system.count <= MAX_LISTED_ELEMENTS:
-        rows = [[r.cycle_string(), m.cycle_string(), s]
-                for r, m, s in zip(system.stated_representatives,
-                                   system.representatives, system.sizes)]
+        rows = coset_rows(system)
         payload["stated_representatives"] = [
             element_json(r) for r in system.stated_representatives]
     else:
@@ -177,11 +186,9 @@ def _cmd_double_cosets(args) -> Report:
         "stated_representatives": [
             element_json(r) for r in system.stated_representatives],
     }
-    rows = [[r.cycle_string(), m.cycle_string(), s]
-            for r, m, s in zip(system.stated_representatives,
-                               system.representatives, system.sizes)]
     return Report("double-cosets", {"n": n}, "PASS" if ok else "FAIL",
-                  payload, ["stated_rep", "canonical_rep", "size"], rows)
+                  payload, ["stated_rep", "canonical_rep", "size"],
+                  coset_rows(system))
 
 
 def _cmd_orbits(args) -> Report:
@@ -304,11 +311,7 @@ def _cmd_tensor_basis(args) -> Report:
     if len(basis) <= MAX_LISTED_ELEMENTS:
         rows = [[t.left.cycle_string(), t.coset_b.cycle_string(),
                  " ".join(map(str, t.coset_indices)) or "-"] for t in basis]
-        payload["elements"] = [{
-            "left": element_json(t.left),
-            "coset_b": element_json(t.coset_b),
-            "indices": list(t.coset_indices),
-        } for t in basis]
+        payload["elements"] = [tensor_json(t) for t in basis]
     else:
         rows = [[f"<{len(basis)} tensors>", "", ""]]
     ok = len(basis) == expected
@@ -343,12 +346,8 @@ def _cmd_end_basis(args) -> Report:
                 vectors_json.append(algebra_json(vec))
                 rows.append([i, len(vec.terms), algebra_text(vec)])
             else:
-                vectors_json.append([{
-                    "left": element_json(t.left),
-                    "coset_b": element_json(t.coset_b),
-                    "indices": list(t.coset_indices),
-                    "coefficient": "1/1",
-                } for t in vec])
+                vectors_json.append([{**tensor_json(t), "coefficient": "1/1"}
+                                     for t in vec])
                 text = " + ".join(
                     f"{t.left.cycle_string()}(x){t.coset_rep().cycle_string()}"
                     for t in vec)
@@ -403,7 +402,7 @@ def _cmd_power_table(args) -> Report:
         if collapses:
             rows.append([k, f"{1 << (k - 1)}/1 * o"])
         else:
-            rows.append([k, algebra_text(p) if len(p.terms) <= 64
+            rows.append([k, algebra_text(p) if len(p.terms) <= MAX_LISTED_VECTORS
                          else f"<{len(p.terms)} terms>"])
     payload = {"base_level": n, "max_k": max_k, "powers": entries}
     verdict = "PASS" if n == 1 else "INFO"

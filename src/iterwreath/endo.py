@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,6 +44,7 @@ from .treegroup import (
     UsageError,
     beta,
     beta_product,
+    element_cache,
     embed_to,
     factorize,
     full_group,
@@ -151,31 +152,24 @@ class _TensorIndex:
 
 
 # one index per level triple, shared by every caller, like full_group
-_tensor_index = lru_cache(maxsize=None)(_TensorIndex)
+_tensor_index = element_cache(_TensorIndex)
 
 
-def _conj_action_detail(h: TreeAutomorphism, t: TensorBasisElement):
-    """Conjugate the tensor inside the bimodule and renormalize.
+def conj_action_tensor(h: TreeAutomorphism, t: TensorBasisElement) -> TensorBasisElement:
+    """Left action of a level-n element on the tensor basis.
 
-    Restricted to the embedded level-(n-l) subgroup this is plain conjugation
-    of both factors, which is the action the endomorphism basis needs; over
-    the whole level-n group it is still a left action (the naive two-sided
-    conjugation formula is not).  Returns (image, crossed, index_changed):
-    the prefix that moved left (at the left level), and whether the
-    swap-index part of the representative moved.
+    Conjugates the tensor inside the bimodule and renormalizes.  Restricted
+    to the embedded level-(n-l) subgroup this is plain conjugation of both
+    factors, which is the action the endomorphism basis needs; over the whole
+    level-n group it is still a left action (the naive two-sided conjugation
+    formula is not).
     """
     n, m = t.coset_b.level, t.left.level
     if h.level != n:
         raise ValueError(f"acting element level {h.level}, expected {n}")
     index = _tensor_index(m, n, t.base_level)
     rep, crossed = index.split(t.coset_rep() * h.inverse())
-    image = index.tensor(index.encode(embed_to(h, m) * t.left * crossed, rep))
-    return image, crossed, image.coset_indices != t.coset_indices
-
-
-def conj_action_tensor(h: TreeAutomorphism, t: TensorBasisElement) -> TensorBasisElement:
-    """Left action of a level-n element on the tensor basis."""
-    return _conj_action_detail(h, t)[0]
+    return index.tensor(index.encode(embed_to(h, m) * t.left * crossed, rep))
 
 
 class TensorOrbits(Sequence):
@@ -366,8 +360,6 @@ def power_table(n: int, max_k: int):
 
 @dataclass(frozen=True)
 class OppositeReport:
-    n: int
-    k: int
     dimension: int
     closure_ok: bool
     transpose_ok: bool
@@ -396,7 +388,7 @@ def opposite_check(n: int, k: int) -> OppositeReport:
     right = tuple(tuple(expand(b, a) for b in basis) for a in basis)
     closure_ok = all(c is not None for row in left + right for c in row)
     transpose_ok = closure_ok and left == tuple(zip(*right))
-    return OppositeReport(n, k, dim, closure_ok, transpose_ok, left, right)
+    return OppositeReport(dim, closure_ok, transpose_ok, left, right)
 
 
 # --- spanning check for the identity-block factorization -----------------------

@@ -45,6 +45,16 @@ def class_count(n: int) -> int:
     return num // 2
 
 
+def _orbit_count(n: int, k: int, a: int) -> int:
+    """|A_n|*...*|A_{n+k-1}| * (c_n + a), the form both readings share."""
+    if k < 0:
+        raise ValueError(f"offset must be >= 0, got {k}")
+    prod = 1
+    for j in range(k):
+        prod *= group_order(n + j)
+    return prod * (class_count(n) + a)
+
+
 def predicted_orbit_count(n: int, k: int) -> int:
     """Predicted orbit count of level-n conjugation on the level-(n+k) group.
 
@@ -52,28 +62,17 @@ def predicted_orbit_count(n: int, k: int) -> int:
     reproduces the adjacent-level count |A_n|*(c_n + 1) at k = 1 and the
     class count at k = 0.
     """
-    if k < 0:
-        raise ValueError(f"offset must be >= 0, got {k}")
-    prod = 1
-    for j in range(k):
-        prod *= group_order(n + j)
-    return prod * (class_count(n) + (1 << k) - 1)
+    return _orbit_count(n, k, (1 << k) - 1)
 
 
 def predicted_orbit_count_literal(n: int, k: int) -> int:
     """The stated formula read literally, for comparison against brute force.
 
     Literally the multiplier for the level-(n+k) action is c_n + a_{k-1}
-    with a_0 = 0, a_r = 2*a_{r-1} + 1, i.e. c_n + 2**(k-1) - 1.
+    with a_0 = 0, a_r = 2*a_{r-1} + 1, i.e. c_n + 2**(k-1) - 1; at k = 0
+    it is the class count.
     """
-    if k < 0:
-        raise ValueError(f"offset must be >= 0, got {k}")
-    if k == 0:
-        return class_count(n)
-    prod = 1
-    for j in range(k):
-        prod *= group_order(n + j)
-    return prod * (class_count(n) + (1 << (k - 1)) - 1)
+    return _orbit_count(n, k, (1 << max(k - 1, 0)) - 1)
 
 
 # --- centers and centralizers ----------------------------------------------
@@ -126,7 +125,6 @@ class OrbitLabel:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    acting: SubgroupSpec
     ambient_level: int
     orbits: tuple
     labels: tuple | None = None
@@ -156,7 +154,7 @@ def conjugacy_classes(n: int, allow_large: bool = False) -> OrbitDecomposition:
             "conjugacy classes at level 4 scan 32768 elements; "
             "pass allow_large=True (CLI: --allow-large)")
     spec = SubgroupSpec.full()
-    return OrbitDecomposition(spec, n, _orbit_partition(full_group(n), spec))
+    return OrbitDecomposition(n, _orbit_partition(full_group(n), spec))
 
 
 def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecomposition:
@@ -174,7 +172,7 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
         classes = conjugacy_classes(n, allow_large)
         labels = tuple(OrbitLabel("class", o.representative, (), identity(n))
                        for o in classes.orbits)
-        return OrbitDecomposition(classes.acting, n, classes.orbits, labels)
+        return OrbitDecomposition(n, classes.orbits, labels)
 
     spec = SubgroupSpec.embedded(n)
     orbits = _orbit_partition(full_group(ambient), spec)
@@ -208,7 +206,7 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
         assigned[idx] = label
     if any(lab is None for lab in assigned):
         raise VerificationError("structured labeling misses some orbits")
-    return OrbitDecomposition(spec, ambient, orbits, tuple(assigned))
+    return OrbitDecomposition(ambient, orbits, tuple(assigned))
 
 
 def centralizer_algebra_basis(n: int, k: int, allow_large: bool = False):
@@ -272,8 +270,6 @@ class CosetSystem:
     """
 
     ambient_level: int
-    base_level: int
-    kind: str
     representatives: tuple
     sizes: tuple
     cosets: tuple
@@ -284,10 +280,9 @@ class CosetSystem:
         return len(self.cosets)
 
 
-def _coset_system(systems, ambient: int, base: int, kind: str) -> CosetSystem:
+def _coset_system(systems, ambient: int, label: str) -> CosetSystem:
     """Sort (coset, stated representative) pairs and verify the partition."""
     systems = sorted(systems)
-    label = kind.replace("_", " ")
     total = 0
     union = set()
     for coset, _ in systems:
@@ -302,8 +297,6 @@ def _coset_system(systems, ambient: int, base: int, kind: str) -> CosetSystem:
             f"(total size {total})")
     return CosetSystem(
         ambient_level=ambient,
-        base_level=base,
-        kind=kind,
         representatives=tuple(c[0] for c, _ in systems),
         sizes=tuple(len(c) for c, _ in systems),
         cosets=tuple(c for c, _ in systems),
@@ -342,7 +335,7 @@ def right_coset_reps(n: int, l: int) -> CosetSystem:
     system = _coset_system(
         ((tuple(sorted(x * rep for x in base)), rep)
          for _, _, rep in coset_rep_pairs(n, ambient)),
-        ambient, n, "right_cosets")
+        ambient, "right cosets")
     expected = group_order(ambient) // group_order(n)
     if system.count != expected:
         raise VerificationError(
@@ -385,7 +378,7 @@ def double_cosets(n: int) -> CosetSystem:
         raise VerificationError(
             f"root-swap coset has {len(big)} elements, expected {order**2}")
     systems.append((tuple(sorted(big)), root))
-    return _coset_system(systems, ambient, n, "double_cosets")
+    return _coset_system(systems, ambient, "double cosets")
 
 
 # --- defining relations -------------------------------------------------------
@@ -407,7 +400,6 @@ class PresentationReport:
     generator are recorded as untestable instead of evaluated.
     """
 
-    level: int
     instances: tuple
     untestable: tuple
 
@@ -439,8 +431,8 @@ def check_presentation(n: int) -> PresentationReport:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                w = sym(i) * sym(j)
-                instances.append(RelationInstance(2, (i, j), (w ** 4).is_identity))
+                w = sym(i) * sym(j) * sym(i) * sym(j)
+                instances.append(RelationInstance(2, (i, j), (w * w).is_identity))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(1, n - i + 1):
@@ -450,4 +442,4 @@ def check_presentation(n: int) -> PresentationReport:
                 w = sym(i) * sym(j) * sym(i) * sym(j + k)
                 instances.append(
                     RelationInstance(3, (i, j, k), (w * w).is_identity))
-    return PresentationReport(n, tuple(instances), tuple(untestable))
+    return PresentationReport(tuple(instances), tuple(untestable))

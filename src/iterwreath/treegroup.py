@@ -13,7 +13,9 @@ images and keeps exactly the maps that preserve the leaf blocks.
 
 Values are immutable and interned in one pool keyed by word and by `perm`, so
 equality is cheap and a product is one `bytes.translate`.  All functions here
-are pure; `reset_caches` empties the pool and the full-group cache.
+are pure; `reset_caches` empties the pool and every `element_cache`, such as
+`full_group`.  `SubgroupSpec` names the full group and its embedded, shifted
+("hat") and shifted-chain subgroups; the identity subgroup is embedded(0).
 """
 
 from __future__ import annotations
@@ -108,9 +110,6 @@ class TreeAutomorphism:
     def __lt__(self, other: "TreeAutomorphism") -> bool:
         return self.rank < other.rank
 
-    def __le__(self, other: "TreeAutomorphism") -> bool:
-        return self.rank <= other.rank
-
     # construction
 
     @classmethod
@@ -164,21 +163,9 @@ class TreeAutomorphism:
         perm = other.perm.translate(self.perm.ljust(256, b"\0"))
         return _pool.get(perm) or _from_perm(self.level, perm)
 
-    def __pow__(self, k: int) -> "TreeAutomorphism":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TreeAutomorphism.identity(self.level)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def inverse(self) -> "TreeAutomorphism":
         n = 1 << self.level  # maketrans sends perm[i] to i, the inverse
         return _from_perm(self.level, bytes.maketrans(self.perm, _ROTATE[0][:n])[:n])
-
-    def conjugated_by(self, h: "TreeAutomorphism") -> "TreeAutomorphism":
-        """h * self * h**-1."""
-        return h * self * h.inverse()
 
     # views
 
@@ -326,7 +313,17 @@ def components(g: TreeAutomorphism):
     return s, _from_word(g.level - 1, lw), _from_word(g.level - 1, rw)
 
 
-@lru_cache(maxsize=None)
+_element_caches = []  # every cache that holds pool elements
+
+
+def element_cache(fn):
+    """Unbounded lru_cache of fn that reset_caches empties with the pool."""
+    cached = lru_cache(maxsize=None)(fn)
+    _element_caches.append(cached)
+    return cached
+
+
+@element_cache
 def full_group(level: int):
     """All elements at a level, in lexicographic swap-word order."""
     if level > MAX_ENUM_LEVEL:
@@ -339,9 +336,10 @@ def full_group(level: int):
 
 
 def reset_caches() -> None:
-    """Forget every interned element and every cached full enumeration."""
+    """Forget every interned element and every cache that holds one."""
     _pool.clear()
-    full_group.cache_clear()
+    for cache in _element_caches:
+        cache.cache_clear()
 
 
 # --- named standard subgroups ---------------------------------------------
@@ -352,8 +350,8 @@ class SubgroupSpec:
 
     kind "full": the whole group; "embedded": the label-preserving copy of the
     level-lo group; "hat": the shifted copy acting on labels 2**lo+1..2**(lo+1);
-    "hat_chain": the commuting product of shifted copies for lo..hi;
-    "trivial": the identity subgroup.
+    "hat_chain": the commuting product of shifted copies for lo..hi.  The
+    identity subgroup is embedded(0).
     """
 
     kind: str
@@ -363,10 +361,6 @@ class SubgroupSpec:
     @classmethod
     def full(cls) -> "SubgroupSpec":
         return cls("full")
-
-    @classmethod
-    def trivial(cls) -> "SubgroupSpec":
-        return cls("trivial")
 
     @classmethod
     def embedded(cls, m: int) -> "SubgroupSpec":
@@ -383,44 +377,18 @@ class SubgroupSpec:
         return cls("hat_chain", lo, hi)
 
     def validate(self, ambient: int) -> None:
-        if self.kind in ("full", "trivial"):
+        if self.kind == "full":
             return
         if self.lo < 0:
             raise ValueError(f"negative subgroup level in {self}")
         needed = self.lo if self.kind == "embedded" else self.hi + 1
         if needed > ambient:
-            raise ValueError(f"{self.describe()} does not fit in level {ambient}")
-
-    def describe(self) -> str:
-        if self.kind == "full":
-            return "full group"
-        if self.kind == "trivial":
-            return "trivial group"
-        if self.kind == "embedded":
-            return f"embedded A{self.lo}"
-        if self.kind == "hat":
-            return f"hat A{self.lo}"
-        return f"hat chain A{self.lo}..A{self.hi}"
-
-    def order(self, ambient: int) -> int:
-        self.validate(ambient)
-        if self.kind == "full":
-            return group_order(ambient)
-        if self.kind == "trivial":
-            return 1
-        if self.kind in ("embedded", "hat"):
-            return group_order(self.lo)
-        out = 1
-        for m in range(self.lo, self.hi + 1):
-            out *= group_order(m)
-        return out
+            raise ValueError(f"{self} does not fit in level {ambient}")
 
     def generators(self, ambient: int):
         self.validate(ambient)
         if self.kind == "full":
             return tuple(beta(ambient, i) for i in range(1, ambient + 1))
-        if self.kind == "trivial":
-            return ()
         if self.kind == "embedded":
             return tuple(embed_to(beta(self.lo, i), ambient)
                          for i in range(1, self.lo + 1))
@@ -439,8 +407,6 @@ class SubgroupSpec:
             raise LevelTooLarge(
                 f"subgroup enumeration is capped at ambient level "
                 f"{MAX_ENUM_LEVEL}, got {ambient}")
-        if self.kind == "trivial":
-            return (identity(ambient),)
         if self.kind == "full":
             return full_group(ambient)
         if self.kind == "embedded":
@@ -460,21 +426,15 @@ class SubgroupSpec:
 class Factorization:
     """Unique splitting g = base * hats[0] * ... * hats[-1] * beta_product(I).
 
-    All parts are embedded at the ambient level: `base` lies in the embedded
-    level-`base_level` subgroup, hats[j] in the shifted copy of the
-    level-(base_level+j) group, and `indices` is a strictly increasing subset
-    of {base_level+1, ..., ambient_level}.
+    For g at level a split above level b (see factorize), all parts are
+    embedded at level a: `base` lies in the embedded level-b subgroup, hats[j]
+    in the shifted copy of the level-(b+j) group, and `indices` is a strictly
+    increasing subset of {b+1, ..., a}.
     """
 
-    base_level: int
-    ambient_level: int
     base: TreeAutomorphism
     hats: tuple
     indices: tuple
-
-    def recompose(self) -> TreeAutomorphism:
-        return (math.prod(self.hats, start=self.base)
-                * beta_product(self.ambient_level, self.indices))
 
 
 def factorize(g: TreeAutomorphism, base_level: int) -> Factorization:
@@ -500,5 +460,4 @@ def factorize(g: TreeAutomorphism, base_level: int) -> Factorization:
         hats.append(embed_to(hat_embed(hat), ambient))
     hats.reverse()
     indices.reverse()
-    return Factorization(base_level, ambient, embed_to(cur, ambient),
-                         tuple(hats), tuple(indices))
+    return Factorization(embed_to(cur, ambient), tuple(hats), tuple(indices))

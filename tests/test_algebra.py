@@ -15,9 +15,13 @@ from iterwreath import (
     orbit,
     orbit_sum,
 )
-from iterwreath.algebra import centralizes_exhaustive
 
 from cycle_notation import elem
+
+
+def centralizes_exhaustive(x, sub):
+    """Commutes with every element of the subgroup: the definition itself."""
+    return all(x.commutes_with(t) for t in sub.elements(x.level))
 
 
 def root_orbit_sum(n):
@@ -29,7 +33,7 @@ def root_orbit_sum(n):
 
 def test_add_zero_and_cancellation():
     x = root_orbit_sum(1)
-    assert x + AlgebraElement.zero(2) == x
+    assert x + AlgebraElement(2) == x
     e = AlgebraElement.one(2)
     assert e.scaled(2) - e == e
     assert (x - x).is_zero()
@@ -38,7 +42,7 @@ def test_add_zero_and_cancellation():
 def test_double_is_termwise():
     x = root_orbit_sum(1)
     doubled = x + x
-    assert doubled == x.scaled(2) == 2 * x
+    assert doubled == x.scaled(2) == x * 2
     assert len(doubled.terms) == 2
     assert all(c == 2 for c in doubled.terms.values())
 
@@ -77,12 +81,13 @@ def test_root_orbit_sum_square_frozen():
     # ((1 3)(2 4) + (1 4)(2 3))**2 expanded by hand
     expected = (AlgebraElement.one(2).scaled(2)
                 + AlgebraElement.of(elem(2, "(1 2)(3 4)")).scaled(2))
-    assert root_orbit_sum(1) ** 2 == expected
+    o = root_orbit_sum(1)
+    assert o * o == expected
 
 
 def test_root_orbit_sum_cube_collapses():
     o = root_orbit_sum(1)
-    assert o ** 3 == o.scaled(4)
+    assert o * o * o == o.scaled(4)
 
 
 def _random_element(rng, level, size=3):
@@ -118,7 +123,7 @@ def test_integral_coefficients_are_stored_as_int():
     x = AlgebraElement(2, {e: Fraction(6, 3)})
     assert type(x.coefficient(e)) is int
     assert x == AlgebraElement.of(e, 2) and hash(x) == hash(AlgebraElement.of(e, 2))
-    assert AlgebraElement.zero(2).coefficient(e) == 0
+    assert AlgebraElement(2).coefficient(e) == 0
 
 
 def test_scaling_by_a_third_keeps_a_fraction():
@@ -133,7 +138,7 @@ def test_scaling_by_a_third_keeps_a_fraction():
 
 def test_orbit_of_identity_is_singleton():
     for spec in (SubgroupSpec.full(), SubgroupSpec.embedded(1),
-                 SubgroupSpec.trivial()):
+                 SubgroupSpec.embedded(0)):
         o = orbit(identity(2), spec)
         assert o.elements == (identity(2),)
         assert o.representative == identity(2)
@@ -166,7 +171,7 @@ def test_generator_walk_matches_exhaustive_conjugation():
 def test_orbit_sizes_divide_subgroup_order():
     for n in (1, 2):
         spec = SubgroupSpec.embedded(n)
-        order = spec.order(n + 1)
+        order = len(spec.elements(n + 1))
         for g in full_group(n + 1):
             assert order % orbit(g, spec).size == 0
 

@@ -191,6 +191,23 @@ def test_small_argument_grid_reports_or_guards(capsys, command):
         assert runs[0] == runs[1], argv
 
 
+FLAG_COMMANDS = [command for command in GRID_COMMANDS
+                 if "--allow-large" in _COMMANDS[command][1].split()]
+
+
+@pytest.mark.parametrize("command", FLAG_COMMANDS)
+def test_small_argument_grid_with_allow_large(capsys, command):
+    # each of these commands works at level n (classes) or n + k
+    for values in product(GRID_VALUES, repeat=len(_positionals(command))):
+        argv = [command, *values, "--format", "json"]
+        code = main(argv + ["--allow-large"])
+        captured = capsys.readouterr()
+        assert code in (0, 2), (argv, captured.err)
+        assert "Traceback" not in captured.err, argv
+        if sum(map(int, values)) < 4:
+            assert (code, captured.out) == (main(argv), capsys.readouterr().out)
+
+
 def test_end_basis_reports_dimension(capsys):
     code, out = run_cli(capsys, "end-basis", "2", "1", "1", "--format", "json")
     assert code == 0

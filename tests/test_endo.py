@@ -33,6 +33,7 @@ from iterwreath.endo import (
     end_basis_closure,
     id_factor_span_check,
 )
+from iterwreath.treegroup import reset_caches
 
 from cycle_notation import elem
 
@@ -142,15 +143,12 @@ def test_action_is_left_group_action(n, k, l):
 def test_action_moves_chain_part_of_representative():
     # the root-swap representative times the deepest swap renormalizes with
     # a shifted-copy factor; the acting element lands in the left factor
-    from iterwreath.endo import _conj_action_detail
-
+    # (so no prefix crossed) and the swap-index part does not move
     t = TensorBasisElement(identity(2), identity(2), (2,), 1)
-    image, crossed, changed = _conj_action_detail(beta(2, 1), t)
-    assert crossed == identity(2)
+    image = conj_action_tensor(beta(2, 1), t)
     assert image.left.cycle_string() == "(1 2)"
     assert image.coset_b.cycle_string() == "(3 4)"
     assert image.coset_indices == (2,)
-    assert not changed
 
 
 # --- endomorphism bases -------------------------------------------------------------
@@ -275,6 +273,16 @@ def test_end_basis_vectors_are_a_sequence_of_tensor_tuples():
     assert vectors[5] in eb.vectors
     with pytest.raises(IndexError):
         eb.vectors[len(vectors)]
+
+
+def test_reset_caches_also_empties_the_tensor_index_cache():
+    before = end_ind_res_basis(2, 1, 1)
+    assert endo._tensor_index.cache_info().currsize > 0
+    reset_caches()
+    assert endo._tensor_index.cache_info().currsize == 0
+    after = end_ind_res_basis(2, 1, 1)
+    assert after.dimension == before.dimension
+    assert tuple(after.vectors) == tuple(before.vectors)
 
 
 def test_end_basis_rejects_over_restriction():
