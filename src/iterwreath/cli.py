@@ -5,6 +5,12 @@ means every checked claim passed (or the command is purely informational),
 1 means a claim failed and the report names the first witness, 2 means a
 usage or resource-guard violation, and 3 means the program itself failed (one
 `error:` line on stderr).  Wall-clock timing goes to stderr only.
+
+Command contract: `_COMMANDS` alone names each subcommand, its arguments and
+its CSV columns.  A handler takes them by name (int positionals, then the
+`allow_large`/`seed` flags) and returns (ok, payload, rows); `run` maps ok
+True/False/None to PASS/FAIL/INFO and reports the positionals as parameters,
+or the flags if there are none (elsewhere `--allow-large` only lifts a guard).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import algebra, endo, mackey, structure, treegroup
 from .algebra import AlgebraElement
@@ -44,8 +50,8 @@ class Report:
     parameters: dict
     verdict: str  # PASS | FAIL | INFO
     payload: dict
-    columns: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    columns: list
+    rows: list
     timing_ms: float = 0.0
 
 
@@ -81,31 +87,31 @@ def coset_rows(system) -> list:
 
 # --- subcommand handlers -----------------------------------------------------
 
-def _cmd_enumerate(args) -> Report:
-    n = args.n
+def _placeholder(count, noun, *rest):
+    """The one row that stands for `count` rows too many to list."""
+    return [[f"<{count} {noun}>", *rest]]
+
+
+def _cmd_enumerate(n):
     elements = full_group(n)
     expected = group_order(n)
     chain_ok = all(
         group_order(m) == 2 * group_order(m - 1) ** 2 for m in range(1, n + 1))
-    ok = len(elements) == expected and chain_ok
     payload = {
         "level": n,
         "size": len(elements),
         "expected_size": expected,
         "doubling_square_chain": chain_ok,
     }
-    columns = ["word", "cycles"]
     if len(elements) <= MAX_LISTED_ELEMENTS:
         payload["elements"] = [element_json(g) for g in elements]
         rows = [[g.word_string(), g.cycle_string()] for g in elements]
     else:
-        rows = [[f"<{len(elements)} elements>", ""]]
-    return Report("enumerate", {"n": n}, "PASS" if ok else "FAIL",
-                  payload, columns, rows)
+        rows = _placeholder(len(elements), "elements", "")
+    return len(elements) == expected and chain_ok, payload, rows
 
 
-def _cmd_center(args) -> Report:
-    n = args.n
+def _cmd_center(n):
     computed = structure.center(n)
     expected = structure.center_closed_form(n)
     ok = computed == expected
@@ -115,16 +121,12 @@ def _cmd_center(args) -> Report:
         "expected": [element_json(g) for g in expected],
         "match": ok,
     }
-    rows = [[g.word_string(), g.cycle_string()] for g in computed]
-    return Report("center", {"n": n}, "PASS" if ok else "FAIL",
-                  payload, ["word", "cycles"], rows)
+    return ok, payload, [[g.word_string(), g.cycle_string()] for g in computed]
 
 
-def _cmd_classes(args) -> Report:
-    n = args.n
-    decomp = structure.conjugacy_classes(n, allow_large=args.allow_large)
+def _cmd_classes(n, allow_large=False):
+    decomp = structure.conjugacy_classes(n, allow_large=allow_large)
     predicted = structure.class_count(n)
-    ok = decomp.count == predicted
     payload = {
         "level": n,
         "count": decomp.count,
@@ -132,23 +134,19 @@ def _cmd_classes(args) -> Report:
         "sizes": [o.size for o in decomp.orbits],
     }
     rows = [[o.representative.cycle_string(), o.size] for o in decomp.orbits]
-    return Report("classes", {"n": n}, "PASS" if ok else "FAIL",
-                  payload, ["representative", "size"], rows)
+    return decomp.count == predicted, payload, rows
 
 
-def _cmd_class_count(args) -> Report:
-    n = args.n
+def _cmd_class_count(n):
     if n > MAX_CLASS_COUNT_LEVEL:
         raise UsageError(f"class-count capped at n = {MAX_CLASS_COUNT_LEVEL}")
     values = [structure.class_count(m) for m in range(n + 1)]
     payload = {"level": n, "value": values[-1],
                "sequence": [str(v) for v in values]}
-    rows = [[m, str(v)] for m, v in enumerate(values)]
-    return Report("class-count", {"n": n}, "INFO", payload, ["n", "count"], rows)
+    return None, payload, [[m, str(v)] for m, v in enumerate(values)]
 
 
-def _cmd_right_cosets(args) -> Report:
-    n, l = args.n, args.l
+def _cmd_right_cosets(n, l):
     system = structure.right_coset_reps(n, l)
     expected = group_order(system.ambient_level) // group_order(n)
     payload = {
@@ -158,20 +156,16 @@ def _cmd_right_cosets(args) -> Report:
         "expected_count": expected,
         "coset_size": group_order(n),
     }
-    columns = ["stated_rep", "canonical_rep", "size"]
     if system.count <= MAX_LISTED_ELEMENTS:
         rows = coset_rows(system)
         payload["stated_representatives"] = [
             element_json(r) for r in system.stated_representatives]
     else:
-        rows = [[f"<{system.count} cosets>", "", group_order(n)]]
-    ok = system.count == expected
-    return Report("right-cosets", {"n": n, "l": l},
-                  "PASS" if ok else "FAIL", payload, columns, rows)
+        rows = _placeholder(system.count, "cosets", "", group_order(n))
+    return system.count == expected, payload, rows
 
 
-def _cmd_double_cosets(args) -> Report:
-    n = args.n
+def _cmd_double_cosets(n):
     system = structure.double_cosets(n)
     order = group_order(n)
     expected_sizes = sorted([order] * order + [order * order])
@@ -186,14 +180,11 @@ def _cmd_double_cosets(args) -> Report:
         "stated_representatives": [
             element_json(r) for r in system.stated_representatives],
     }
-    return Report("double-cosets", {"n": n}, "PASS" if ok else "FAIL",
-                  payload, ["stated_rep", "canonical_rep", "size"],
-                  coset_rows(system))
+    return ok, payload, coset_rows(system)
 
 
-def _cmd_orbits(args) -> Report:
-    n, k = args.n, args.k
-    decomp = structure.orbit_decomposition(n, k, allow_large=args.allow_large)
+def _cmd_orbits(n, k, allow_large=False):
+    decomp = structure.orbit_decomposition(n, k, allow_large=allow_large)
     corrected = structure.predicted_orbit_count(n, k)
     literal = structure.predicted_orbit_count_literal(n, k)
     payload = {
@@ -205,8 +196,6 @@ def _cmd_orbits(args) -> Report:
         "matches_corrected": decomp.count == corrected,
         "matches_literal": decomp.count == literal,
     }
-    ok = decomp.count == corrected
-    columns = ["representative", "size", "label"]
     if decomp.count <= MAX_LISTED_ELEMENTS:
         rows = []
         for orbit_, label in zip(decomp.orbits, decomp.labels):
@@ -217,20 +206,17 @@ def _cmd_orbits(args) -> Report:
                 text = f"orbit({names})*{label.shift.cycle_string()}"
             rows.append([orbit_.representative.cycle_string(), orbit_.size, text])
     else:
-        rows = [[f"<{decomp.count} orbits>", "", ""]]
-    return Report("orbits", {"n": n, "k": k}, "PASS" if ok else "FAIL",
-                  payload, columns, rows)
+        rows = _placeholder(decomp.count, "orbits", "", "")
+    return decomp.count == corrected, payload, rows
 
 
-def _cmd_centralizer_basis(args) -> Report:
-    n, k = args.n, args.k
-    basis = structure.centralizer_algebra_basis(n, k, allow_large=args.allow_large)
+def _cmd_centralizer_basis(n, k, allow_large=False):
+    basis = structure.centralizer_algebra_basis(n, k, allow_large=allow_large)
     sub = SubgroupSpec.embedded(n)
     all_central = all(algebra.centralizes(v, sub) for v in basis)
     closure = None
     if (n, k) == (1, 1):
         closure = structure.closure_failure(basis) is None
-    ok = all_central and closure is not False
     payload = {
         "base_level": n,
         "offset": k,
@@ -244,13 +230,10 @@ def _cmd_centralizer_basis(args) -> Report:
     rows = [[i, len(v.terms),
              algebra_text(v) if listed else f"<{len(v.terms)} terms>"]
             for i, v in enumerate(basis)]
-    return Report("centralizer-basis", {"n": n, "k": k},
-                  "PASS" if ok else "FAIL", payload,
-                  ["index", "terms", "vector"], rows)
+    return all_central and closure is not False, payload, rows
 
 
-def _cmd_presentation(args) -> Report:
-    n = args.n
+def _cmd_presentation(n):
     report = structure.check_presentation(n)
     counts = report.family_counts()
     failures = [[inst.family, list(inst.params)]
@@ -266,15 +249,11 @@ def _cmd_presentation(args) -> Report:
     rows = [[inst.family, " ".join(map(str, inst.params)),
              "ok" if inst.holds else "FAIL"] for inst in report.instances]
     rows += [[3, " ".join(map(str, t)), "untestable"] for t in report.untestable]
-    return Report("presentation", {"n": n},
-                  "PASS" if report.all_pass else "FAIL",
-                  payload, ["family", "params", "status"], rows)
+    return report.all_pass, payload, rows
 
 
-def _cmd_mackey(args) -> Report:
-    n = args.n
+def _cmd_mackey(n):
     summands = mackey.mackey_decomposition(n)
-    order = group_order(n)
     payload = {
         "level": n,
         "summands": [{
@@ -284,7 +263,7 @@ def _cmd_mackey(args) -> Report:
             "dimension": s.bimodule_dimension,
         } for s in summands],
         "id_multiplicity": sum(1 for s in summands if s.kind == "Id"),
-        "expected_id_multiplicity": order,
+        "expected_id_multiplicity": group_order(n),
         "dimension_total": sum(s.bimodule_dimension for s in summands),
         "expected_dimension_total": group_order(n + 1),
     }
@@ -292,12 +271,10 @@ def _cmd_mackey(args) -> Report:
           and payload["dimension_total"] == payload["expected_dimension_total"])
     rows = [[s.coset_rep.cycle_string(), len(s.intersection), s.kind,
              s.bimodule_dimension] for s in summands]
-    return Report("mackey", {"n": n}, "PASS" if ok else "FAIL", payload,
-                  ["rep", "intersection_order", "type", "dimension"], rows)
+    return ok, payload, rows
 
 
-def _cmd_tensor_basis(args) -> Report:
-    n, k, l = args.n, args.k, args.l
+def _cmd_tensor_basis(n, k, l):
     basis = endo.tensor_basis(n, k, l)
     expected = (group_order(n + k - l) * group_order(n)) // group_order(n - l)
     payload = {
@@ -307,20 +284,16 @@ def _cmd_tensor_basis(args) -> Report:
         "left_level": n + k - l,
         "coset_base_level": n - l,
     }
-    columns = ["left", "coset_b", "indices"]
     if len(basis) <= MAX_LISTED_ELEMENTS:
         rows = [[t.left.cycle_string(), t.coset_b.cycle_string(),
                  " ".join(map(str, t.coset_indices)) or "-"] for t in basis]
         payload["elements"] = [tensor_json(t) for t in basis]
     else:
-        rows = [[f"<{len(basis)} tensors>", "", ""]]
-    ok = len(basis) == expected
-    return Report("tensor-basis", {"n": n, "k": k, "l": l},
-                  "PASS" if ok else "FAIL", payload, columns, rows)
+        rows = _placeholder(len(basis), "tensors", "", "")
+    return len(basis) == expected, payload, rows
 
 
-def _cmd_end_basis(args) -> Report:
-    n, k, l = args.n, args.k, args.l
+def _cmd_end_basis(n, k, l):
     eb = endo.end_ind_res_basis(n, k, l)
     payload = {
         "n": n, "k": k, "l": l,
@@ -328,16 +301,15 @@ def _cmd_end_basis(args) -> Report:
         "acting_level": eb.acting_level,
         "index_change_count": eb.index_change_count,
     }
-    ok = True
+    ok = eb.index_change_count == 0  # the acting group fixes swap indices
     if l == 0:
-        reference = structure.centralizer_algebra_basis(n, k)
-        ok = tuple(eb.vectors) == tuple(reference)
-        payload["matches_centralizer_basis"] = ok
+        reference = tuple(structure.centralizer_algebra_basis(n, k))
+        payload["matches_centralizer_basis"] = tuple(eb.vectors) == reference
+        ok = ok and payload["matches_centralizer_basis"]
     elif eb.dimension <= MAX_LISTED_VECTORS:
         # computed and reported, never asserted
         closed, _ = endo.end_basis_closure(eb)
         payload["products_within_span"] = closed
-    columns = ["index", "support", "vector"]
     rows = []
     if eb.dimension <= MAX_LISTED_VECTORS:
         vectors_json = []
@@ -354,13 +326,11 @@ def _cmd_end_basis(args) -> Report:
                 rows.append([i, len(vec), text])
         payload["vectors"] = vectors_json
     else:
-        rows = [[f"<{eb.dimension} vectors>", "", ""]]
-    return Report("end-basis", {"n": n, "k": k, "l": l},
-                  "PASS" if ok else "FAIL", payload, columns, rows)
+        rows = _placeholder(eb.dimension, "vectors", "", "")
+    return ok, payload, rows
 
 
-def _cmd_d_gens(args) -> Report:
-    n, m = args.n, args.m
+def _cmd_d_gens(n, m):
     table = endo.d_generator_table(n, m)
     swap_gens = [elt for label, elt in table if label.startswith("b")]
     orbit_single = [elt for label, elt in table if label == f"o(b{n + 1})"]
@@ -379,13 +349,10 @@ def _cmd_d_gens(args) -> Report:
                        for label, elt in table],
     }
     rows = [[label, algebra_text(elt)] for label, elt in table]
-    return Report("d-gens", {"n": n, "m": m},
-                  "PASS" if commute_ok else "FAIL",
-                  payload, ["label", "element"], rows)
+    return commute_ok, payload, rows
 
 
-def _cmd_power_table(args) -> Report:
-    n, max_k = args.n, args.max_k
+def _cmd_power_table(n, max_k):
     powers = endo.power_table(n, max_k)
     base = powers[0]
     entries = []
@@ -405,15 +372,11 @@ def _cmd_power_table(args) -> Report:
             rows.append([k, algebra_text(p) if len(p.terms) <= MAX_LISTED_VECTORS
                          else f"<{len(p.terms)} terms>"])
     payload = {"base_level": n, "max_k": max_k, "powers": entries}
-    verdict = "PASS" if n == 1 else "INFO"
-    return Report("power-table", {"n": n, "max_k": max_k}, verdict,
-                  payload, ["k", "expansion"], rows)
+    return True if n == 1 else None, payload, rows
 
 
-def _cmd_opposite_check(args) -> Report:
-    n, k = args.n, args.k
+def _cmd_opposite_check(n, k):
     report = endo.opposite_check(n, k)
-    ok = report.closure_ok and report.transpose_ok
     payload = {
         "n": n, "k": k,
         "dimension": report.dimension,
@@ -421,30 +384,25 @@ def _cmd_opposite_check(args) -> Report:
         "transpose_ok": report.transpose_ok,
     }
     if report.dimension <= MAX_TABLE_DIMENSION and report.closure_ok:
-        payload["left_constants"] = [
-            [[frac_str(c) for c in cell] for cell in row]
-            for row in report.left_constants]
-        payload["right_constants"] = [
-            [[frac_str(c) for c in cell] for cell in row]
-            for row in report.right_constants]
+        payload["left_constants"], payload["right_constants"] = (
+            [[[frac_str(c) for c in cell] for cell in row] for row in table]
+            for table in (report.left_constants, report.right_constants))
     rows = [[report.dimension, report.closure_ok, report.transpose_ok]]
-    return Report("opposite-check", {"n": n, "k": k},
-                  "PASS" if ok else "FAIL", payload,
-                  ["dimension", "closure", "transpose"], rows)
+    return report.closure_ok and report.transpose_ok, payload, rows
 
 
 # --- the full desk-scale battery ----------------------------------------------
 
-def _sweep(handler, cases, detail, allow_large=False):
-    """Decide a check that restates a subcommand's claim by its handler.
+def _sweep(command, cases, detail, **flags):
+    """Decide a check that restates a subcommand's claim by running it.
 
-    `cases` maps each detail key to the handler's positional arguments, and
+    `cases` maps each detail key to the command's positional arguments, and
     `detail` turns that case's report into the key's entry.  The check
     passes iff every verdict is PASS; it decides nothing a second time.
     """
     ok, entries = True, {}
     for key, params in cases.items():
-        report = handler(argparse.Namespace(allow_large=allow_large, **params))
+        report = run(command, params, flags)
         ok = ok and report.verdict == "PASS"
         entries[key] = detail(report)
     return ok, entries
@@ -459,7 +417,7 @@ def _check_group_sizes(allow_large, rng):
 
 
 def _check_presentation(allow_large, rng):
-    return _sweep(_cmd_presentation, {f"n={n}": {"n": n} for n in range(1, 5)},
+    return _sweep("presentation", {f"n={n}": {"n": n} for n in range(1, 5)},
                   lambda r: {"instances": r.payload["instances_checked"],
                              "untestable": len(r.payload["untestable"]),
                              "all_pass": r.verdict == "PASS"})
@@ -467,7 +425,7 @@ def _check_presentation(allow_large, rng):
 
 def _check_centers(allow_large, rng):
     levels = [1, 2, 3] + ([4] if allow_large else [])
-    return _sweep(_cmd_center, {f"n={n}": {"n": n} for n in levels},
+    return _sweep("center", {f"n={n}": {"n": n} for n in levels},
                   lambda r: r.payload["match"])
 
 
@@ -490,33 +448,33 @@ def _check_centralizers(allow_large, rng):
 def _check_class_counts(allow_large, rng):
     expected = {1: 2, 2: 5, 3: 20, 4: 230}
     levels = [1, 2, 3] + ([4] if allow_large else [])
-    ok, detail = _sweep(_cmd_classes, {f"n={n}": {"n": n} for n in levels},
-                        lambda r: r.payload["count"], allow_large)
+    ok, detail = _sweep("classes", {f"n={n}": {"n": n} for n in levels},
+                        lambda r: r.payload["count"], allow_large=allow_large)
     return ok and all(detail[f"n={n}"] == expected[n] for n in levels), detail
 
 
 def _check_right_cosets(allow_large, rng):
     cases = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)]
-    return _sweep(_cmd_right_cosets,
+    return _sweep("right-cosets",
                   {f"(n={n},l={l})": {"n": n, "l": l} for n, l in cases},
                   lambda r: r.payload["count"])
 
 
 def _check_double_cosets(allow_large, rng):
-    return _sweep(_cmd_double_cosets, {f"n={n}": {"n": n} for n in (1, 2, 3)},
+    return _sweep("double-cosets", {f"n={n}": {"n": n} for n in (1, 2, 3)},
                   lambda r: {"count": r.payload["count"],
                              "sizes_ok": r.verdict == "PASS"})
 
 
 def _check_orbit_counts(allow_large, rng):
-    ok, detail = _sweep(_cmd_orbits, {"(n=1,k=1)": {"n": 1, "k": 1},
-                                      "(n=2,k=1)": {"n": 2, "k": 1}},
+    ok, detail = _sweep("orbits", {"(n=1,k=1)": {"n": 1, "k": 1},
+                                   "(n=2,k=1)": {"n": 2, "k": 1}},
                         lambda r: r.payload["count"])
     ok = ok and list(detail.values()) == [6, 48]
     readings = ("predicted_corrected", "predicted_literal",
                 "matches_corrected", "matches_literal")
     both_ok, both = _sweep(
-        _cmd_orbits, {"(n=1,k=2)": {"n": 1, "k": 2}},
+        "orbits", {"(n=1,k=2)": {"n": 1, "k": 2}},
         lambda r: {"computed": r.payload["count"],
                    **{key: r.payload[key] for key in readings}})
     return ok and both_ok, {**detail, **both}
@@ -530,12 +488,12 @@ def _check_centralizer_basis(allow_large, rng):
             out["closed_under_product"] = p["closure_checked"]
         return out
     cases = [(1, 1), (2, 1), (1, 2)]
-    return _sweep(_cmd_centralizer_basis,
+    return _sweep("centralizer-basis",
                   {f"(n={n},k={k})": {"n": n, "k": k} for n, k in cases}, entry)
 
 
 def _check_mackey(allow_large, rng):
-    return _sweep(_cmd_mackey, {f"n={n}": {"n": n} for n in (1, 2, 3)},
+    return _sweep("mackey", {f"n={n}": {"n": n} for n in (1, 2, 3)},
                   lambda r: {"id_summands": r.payload["id_multiplicity"],
                              "dimension_total": r.payload["dimension_total"]})
 
@@ -575,7 +533,7 @@ def _check_orbit_stability(allow_large, rng):
 def _check_end_bases(allow_large, rng):
     cases = [(1, 1), (2, 1), (1, 2)]
     ok, detail = _sweep(
-        _cmd_end_basis,
+        "end-basis",
         {f"End({n},Ind^{k})": {"n": n, "k": k, "l": 0} for n, k in cases},
         lambda r: {"dimension": r.payload["dimension"],
                    "matches": r.payload["matches_centralizer_basis"]})
@@ -594,7 +552,7 @@ def _check_end_bases(allow_large, rng):
 
 
 def _check_opposite(allow_large, rng):
-    return _sweep(_cmd_opposite_check,
+    return _sweep("opposite-check",
                   {f"(n=1,k={k})": {"n": 1, "k": k} for k in (0, 1)},
                   lambda r: {key: r.payload[key] for key in
                              ("dimension", "closure_ok", "transpose_ok")})
@@ -660,29 +618,26 @@ _CHECKS = [
 ]
 
 
-def _cmd_verify_all(args) -> Report:
-    rng = random.Random(args.seed)
+def _cmd_verify_all(seed, allow_large):
+    rng = random.Random(seed)
     results = []
     all_ok = True
     for name, fn in _CHECKS:
         try:
-            ok, detail = fn(args.allow_large, rng)
+            ok, detail = fn(allow_large, rng)
         except VerificationError as exc:
             ok, detail = False, {"error": str(exc)}
         results.append({"check": name, "passed": ok, "detail": detail})
         all_ok = all_ok and ok
     payload = {
-        "allow_large": bool(args.allow_large),
-        "seed": args.seed,
+        "allow_large": allow_large,
+        "seed": seed,
         "checks": results,
         "passed": sum(1 for r in results if r["passed"]),
         "failed": sum(1 for r in results if not r["passed"]),
     }
-    rows = [[r["check"], "PASS" if r["passed"] else "FAIL"] for r in results]
-    return Report("verify-all",
-                  {"seed": args.seed, "allow_large": bool(args.allow_large)},
-                  "PASS" if all_ok else "FAIL", payload,
-                  ["check", "status"], rows)
+    rows = [[r["check"], _VERDICTS[r["passed"]]] for r in results]
+    return all_ok, payload, rows
 
 
 # --- rendering and dispatch ----------------------------------------------------
@@ -712,43 +667,53 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# name: (handler, arguments, help); "--" marks an optional flag
+# name: (handler, arguments, columns, help); "--" marks an optional flag
 _COMMANDS = {
-    "enumerate": (_cmd_enumerate, "n",
+    "enumerate": (_cmd_enumerate, "n", "word cycles",
                   "list a full level and check its order"),
-    "center": (_cmd_center, "n", "brute-force center against the closed form"),
-    "classes": (_cmd_classes, "n --allow-large",
+    "center": (_cmd_center, "n", "word cycles",
+               "brute-force center against the closed form"),
+    "classes": (_cmd_classes, "n --allow-large", "representative size",
                 "conjugacy classes against the class-count recursion"),
-    "class-count": (_cmd_class_count, "n", "class-count recursion values"),
-    "right-cosets": (_cmd_right_cosets, "n l",
+    "class-count": (_cmd_class_count, "n", "n count",
+                    "class-count recursion values"),
+    "right-cosets": (_cmd_right_cosets, "n l", "stated_rep canonical_rep size",
                      "verified right-coset transversal"),
-    "double-cosets": (_cmd_double_cosets, "n",
+    "double-cosets": (_cmd_double_cosets, "n", "stated_rep canonical_rep size",
                       "verified two-sided coset decomposition"),
-    "orbits": (_cmd_orbits, "n k --allow-large",
+    "orbits": (_cmd_orbits, "n k --allow-large", "representative size label",
                "conjugation orbits with structured labels"),
     "centralizer-basis": (_cmd_centralizer_basis, "n k --allow-large",
+                          "index terms vector",
                           "orbit-sum basis of the centralizer algebra"),
-    "presentation": (_cmd_presentation, "n",
+    "presentation": (_cmd_presentation, "n", "family params status",
                      "defining relations in the permutation representation"),
-    "mackey": (_cmd_mackey, "n",
+    "mackey": (_cmd_mackey, "n", "rep intersection_order type dimension",
                "double-coset summand census and dimension audit"),
-    "tensor-basis": (_cmd_tensor_basis, "n k l",
+    "tensor-basis": (_cmd_tensor_basis, "n k l", "left coset_b indices",
                      "tensor basis of the endomorphism bimodule"),
-    "end-basis": (_cmd_end_basis, "n k l",
+    "end-basis": (_cmd_end_basis, "n k l", "index support vector",
                   "orbit-sum basis of the endomorphism space"),
-    "d-gens": (_cmd_d_gens, "n m",
+    "d-gens": (_cmd_d_gens, "n m", "label element",
                "generators of the non-central centralizer block"),
-    "power-table": (_cmd_power_table, "n max_k",
+    "power-table": (_cmd_power_table, "n max_k", "k expansion",
                     "exact powers of the root-swap orbit sum"),
     "opposite-check": (_cmd_opposite_check, "n k",
+                       "dimension closure transpose",
                        "left/right composition tables are transposed"),
-    "verify-all": (_cmd_verify_all, "--allow-large --seed",
+    "verify-all": (_cmd_verify_all, "--seed --allow-large", "check status",
                    "run the whole desk-scale battery"),
 }
+_VERDICTS = {True: "PASS", False: "FAIL", None: "INFO"}
 
 
 def _positionals(command):
     return [a for a in _COMMANDS[command][1].split() if not a.startswith("--")]
+
+
+def _flags(command):
+    return [a[2:].replace("-", "_") for a in _COMMANDS[command][1].split()
+            if a.startswith("--")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,8 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification tables for the binary-tree "
                     "automorphism tower.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, arguments, help_text) in _COMMANDS.items():
-        arguments = arguments.split()
+    for name, (_, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for arg in _positionals(name):
             p.add_argument(arg, type=int)
@@ -766,29 +730,35 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--out", default=None,
                        help="write the report to this path instead of stdout")
-        if "--allow-large" in arguments:
+        if "allow_large" in _flags(name):
             p.add_argument("--allow-large", action="store_true",
-                           dest="allow_large",
                            help="unlock the level-4 exhaustive runs")
-        if "--seed" in arguments:
+        if "seed" in _flags(name):
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 
 
-def dispatch(args) -> Report:
-    for name in _positionals(args.command):
-        if getattr(args, name) < 0:
-            raise UsageError(f"{args.command}: argument {name} must be >= 0, "
-                             f"got {getattr(args, name)}")
+def run(command, params, flags) -> Report:
+    """Run one command's handler on its positionals and flags, by name."""
+    handler, _, columns, _ = _COMMANDS[command]
     started = time.perf_counter()
-    report = _COMMANDS[args.command][0](args)
-    report.timing_ms = (time.perf_counter() - started) * 1000.0
-    return report
+    ok, payload, rows = handler(**params, **flags)
+    return Report(command, params or flags, _VERDICTS[ok], payload,
+                  columns.split(), rows, (time.perf_counter() - started) * 1e3)
+
+
+def dispatch(args) -> Report:
+    params = {name: getattr(args, name) for name in _positionals(args.command)}
+    for name, value in params.items():
+        if value < 0:
+            raise UsageError(f"{args.command}: argument {name} must be >= 0, "
+                             f"got {value}")
+    return run(args.command, params,
+               {name: getattr(args, name) for name in _flags(args.command)})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = dispatch(args)
     except GUARD_ERRORS as exc:

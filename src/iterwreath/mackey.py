@@ -17,10 +17,15 @@ from .treegroup import (
     LevelTooLarge,
     SubgroupSpec,
     TreeAutomorphism,
+    element_cache,
     group_order,
 )
 
 MACKEY_MAX_LEVEL = MAX_ENUM_LEVEL - 1
+
+
+# the embedded level-n subgroup at level n+1, built once per level
+_embedded = element_cache(lambda n: SubgroupSpec.embedded(n).elements(n + 1))
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ def conjugate_intersection(n: int, g: TreeAutomorphism):
             f"intersection computation capped at level {MACKEY_MAX_LEVEL}")
     if g.level != n + 1:
         raise ValueError(f"element level {g.level}, expected {n + 1}")
-    base = SubgroupSpec.embedded(n).elements(n + 1)
+    base = _embedded(n)
     ginv = g.inverse()
     conjugated = {g * x * ginv for x in base}
     return tuple(x for x in base if x in conjugated)
@@ -56,7 +61,7 @@ def mackey_decomposition(n: int):
             f"Mackey decomposition capped at level {MACKEY_MAX_LEVEL}")
     system = double_cosets(n)
     order = group_order(n)
-    base = set(SubgroupSpec.embedded(n).elements(n + 1))
+    base = set(_embedded(n))
     hat = set(SubgroupSpec.hat(n).elements(n + 1))
 
     summands = []

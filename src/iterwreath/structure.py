@@ -19,6 +19,7 @@ from .treegroup import (
     TreeAutomorphism,
     beta,
     beta_product,
+    element_cache,
     embed_to,
     full_group,
     group_order,
@@ -343,12 +344,14 @@ def right_coset_reps(n: int, l: int) -> CosetSystem:
     return system
 
 
+@element_cache
 def double_cosets(n: int) -> CosetSystem:
     """Two-sided cosets of the embedded level-n group inside level n+1.
 
     The shifted copy's elements each give a coset of size |A_n| (they
     centralize the embedded subgroup), and the root swap gives one coset of
-    size |A_n|**2; the partition and both size claims are re-checked.
+    size |A_n|**2; the partition and both size claims are re-checked.  Built
+    once per level: the Mackey census reads the same system.
     """
     ambient = n + 1
     if ambient > MAX_ENUM_LEVEL:

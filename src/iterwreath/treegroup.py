@@ -14,8 +14,8 @@ images and keeps exactly the maps that preserve the leaf blocks.
 Values are immutable and interned in one pool keyed by word and by `perm`, so
 equality is cheap and a product is one `bytes.translate`.  All functions here
 are pure; `reset_caches` empties the pool and every `element_cache`, such as
-`full_group`.  `SubgroupSpec` names the full group and its embedded, shifted
-("hat") and shifted-chain subgroups; the identity subgroup is embedded(0).
+`full_group`.  `SubgroupSpec` names the full group, its embedded copies and
+the shifted chains hat_chain(lo, hi), of which hat(m) is the one-copy case.
 """
 
 from __future__ import annotations
@@ -349,9 +349,10 @@ class SubgroupSpec:
     """A named standard subgroup of the level-`ambient` group.
 
     kind "full": the whole group; "embedded": the label-preserving copy of the
-    level-lo group; "hat": the shifted copy acting on labels 2**lo+1..2**(lo+1);
-    "hat_chain": the commuting product of shifted copies for lo..hi.  The
-    identity subgroup is embedded(0).
+    level-lo group; "hat_chain": the commuting product of the shifted copies
+    of levels lo..hi, the level-m one acting on labels 2**m+1..2**(m+1).
+    hat(m) is the single shifted copy hat_chain(m, m); the identity subgroup
+    is embedded(0).
     """
 
     kind: str
@@ -368,7 +369,7 @@ class SubgroupSpec:
 
     @classmethod
     def hat(cls, m: int) -> "SubgroupSpec":
-        return cls("hat", m, m)
+        return cls.hat_chain(m, m)
 
     @classmethod
     def hat_chain(cls, lo: int, hi: int) -> "SubgroupSpec":
@@ -392,13 +393,9 @@ class SubgroupSpec:
         if self.kind == "embedded":
             return tuple(embed_to(beta(self.lo, i), ambient)
                          for i in range(1, self.lo + 1))
-        if self.kind == "hat":
-            return tuple(embed_to(hat_embed(beta(self.lo, i)), ambient)
-                         for i in range(1, self.lo + 1))
-        gens = []
-        for m in range(self.lo, self.hi + 1):
-            gens.extend(SubgroupSpec.hat(m).generators(ambient))
-        return tuple(gens)
+        return tuple(embed_to(hat_embed(beta(m, i)), ambient)
+                     for m in range(self.lo, self.hi + 1)
+                     for i in range(1, m + 1))
 
     def elements(self, ambient: int):
         """All members at the ambient level, in canonical word order."""
@@ -411,13 +408,10 @@ class SubgroupSpec:
             return full_group(ambient)
         if self.kind == "embedded":
             return tuple(sorted(embed_to(g, ambient) for g in full_group(self.lo)))
-        if self.kind == "hat":
-            return tuple(sorted(embed_to(hat_embed(g), ambient)
-                                for g in full_group(self.lo)))
-        factor_elems = [SubgroupSpec.hat(m).elements(ambient)
-                        for m in range(self.lo, self.hi + 1)]
+        factors = [[embed_to(hat_embed(g), ambient) for g in full_group(m)]
+                   for m in range(self.lo, self.hi + 1)]
         return tuple(sorted(math.prod(combo, start=identity(ambient))
-                            for combo in _cartesian(*factor_elems)))
+                            for combo in _cartesian(*factors)))
 
 
 # --- decomposition along the tower ----------------------------------------

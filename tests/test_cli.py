@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import iterwreath
+from iterwreath import endo
 from iterwreath.cli import _COMMANDS, _positionals, main
 
 
@@ -125,7 +127,7 @@ def test_negative_argument_is_a_guard_error(capsys, command, name):
 
 
 def test_program_fault_is_not_a_usage_error(capsys, monkeypatch):
-    def broken(args):
+    def broken(**params):
         raise ValueError("internal fault")
 
     monkeypatch.setitem(_COMMANDS, "center", (broken, *_COMMANDS["center"][1:]))
@@ -133,6 +135,14 @@ def test_program_fault_is_not_a_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ValueError: internal fault\n"
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_handler_takes_the_command_arguments_by_name(command):
+    # the command table is the only place that names a command's arguments
+    handler, arguments = _COMMANDS[command][:2]
+    names = [a.removeprefix("--").replace("-", "_") for a in arguments.split()]
+    assert list(inspect.signature(handler).parameters) == names
 
 
 def test_classes_level_four_with_flag(capsys):
@@ -214,6 +224,27 @@ def test_end_basis_reports_dimension(capsys):
     blob = json.loads(out)
     assert blob["payload"]["dimension"] == 20
     assert blob["payload"]["acting_level"] == 1
+
+
+def test_end_basis_index_change_fails_the_verdict(monkeypatch, capsys):
+    # move one (rep, generator) entry to a representative with other swap
+    # indices; the embedded group never does that, so the claim must fail
+    original = endo._generator_table
+
+    def corrupted(index, gens):
+        table = original(index, gens)
+        indices = index.reps[0][1]
+        target = next(r for r, (_, other, _) in enumerate(index.reps)
+                      if other != indices)
+        table[0][0] = (target, table[0][0][1])
+        return table
+
+    monkeypatch.setattr(endo, "_generator_table", corrupted)
+    code, out = run_cli(capsys, "end-basis", "2", "1", "1", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["index_change_count"] > 0
 
 
 def test_usage_error_exit_code():

@@ -31,6 +31,7 @@ from iterwreath import (
     predicted_orbit_count_literal,
     right_coset_reps,
 )
+from iterwreath.treegroup import reset_caches
 
 from cycle_notation import elem
 
@@ -257,6 +258,13 @@ def test_double_cosets_census(n):
     assert sorted(system.sizes) == sorted([order] * order + [order * order])
     assert sum(system.sizes) == group_order(n + 1)
     assert 2 * order ** 2 == group_order(n + 1)
+
+
+def test_double_cosets_built_once_per_level_until_reset():
+    # the Mackey census reads the system the double-coset check built
+    assert double_cosets(2) is double_cosets(2)
+    reset_caches()
+    assert double_cosets.cache_info().currsize == 0
 
 
 def test_double_cosets_guard():
