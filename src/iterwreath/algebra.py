@@ -6,11 +6,16 @@ it is integral and a Fraction otherwise, so products of orbit sums run on
 integer arithmetic.  Zero coefficients are never stored, and term
 iteration is in canonical swap-word order, so serialized output is
 byte-deterministic.
+
+A product accumulates its coefficients on the `perm` bytes of each term
+pair's product, whose hash is computed once, in C, and interns each
+distinct result once; its terms keep the order in which their products
+first occur.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .treegroup import (
@@ -19,8 +24,9 @@ from .treegroup import (
     LevelTooLarge,
     SubgroupSpec,
     TreeAutomorphism,
+    _from_perm,
+    _pool,
     identity,
-    products,
 )
 
 
@@ -41,6 +47,17 @@ class AlgebraElement:
                 clean[g] = c
         self.level = level
         self.terms = clean
+
+    @classmethod
+    def _from_perms(cls, level: int, coeffs: dict) -> "AlgebraElement":
+        """Element from int or Fraction coefficients keyed by the `perm` bytes
+        of level-`level` elements; each key is interned once."""
+        x = object.__new__(cls)
+        x.level = level
+        x.terms = {_pool.get(k) or _from_perm(level, k):
+                   c.numerator if type(c) is not int and c.denominator == 1 else c
+                   for k, c in coeffs.items() if c}
+        return x
 
     @classmethod
     def of(cls, g: TreeAutomorphism, coeff=1) -> "AlgebraElement":
@@ -92,15 +109,16 @@ class AlgebraElement:
         return AlgebraElement(self.level, {g: c * v for g, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            out, keys = {}, iter(products(self.terms, other.terms))
-            for a in self.terms.values():
-                for b in other.terms.values():
-                    k = next(keys)
-                    out[k] = out.get(k, 0) + a * b
-            return AlgebraElement(self.level, out)
-        return self.scaled(other)
+        if not isinstance(other, AlgebraElement):
+            return self.scaled(other)
+        self._check(other)
+        out, rights = {}, other.terms.items()
+        for g, a in self.terms.items():
+            table = g.perm.ljust(256, b"\0")  # h.perm through it is g * h
+            for h, b in rights:
+                k = h.perm.translate(table)
+                out[k] = out.get(k, 0) + a * b
+        return AlgebraElement._from_perms(self.level, out)
 
     def commutes_with(self, g: TreeAutomorphism) -> bool:
         x = AlgebraElement.of(g)
@@ -117,12 +135,10 @@ class AlgebraElement:
         return "AlgebraElement(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(namedtuple("Orbit", "representative elements")):
     """A conjugation orbit: canonical-min representative plus all elements."""
 
-    representative: TreeAutomorphism
-    elements: tuple
+    __slots__ = ()
 
     @property
     def size(self) -> int:

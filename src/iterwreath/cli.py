@@ -16,13 +16,11 @@ or the flags if there are none (elsewhere `--allow-large` only lifts a guard).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import algebra, endo, mackey, structure, treegroup
 from .algebra import AlgebraElement
@@ -44,15 +42,11 @@ DEFAULT_SEED = 2024
 GUARD_ERRORS = (LevelTooLarge, endo.HomSpaceEmpty, UsageError)
 
 
-@dataclass
-class Report:
-    subcommand: str
-    parameters: dict
-    verdict: str  # PASS | FAIL | INFO
-    payload: dict
-    columns: list
-    rows: list
-    timing_ms: float = 0.0
+class Report(namedtuple("Report", "subcommand parameters verdict payload "
+                                   "columns rows timing_ms", defaults=(0.0,))):
+    """One command's result; `verdict` is PASS, FAIL or INFO."""
+
+    __slots__ = ()
 
 
 def frac_str(c) -> str:
@@ -652,6 +646,9 @@ def render(report: Report, fmt: str) -> str:
         }
         return json.dumps(blob, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(report.columns)

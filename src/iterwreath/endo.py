@@ -19,19 +19,16 @@ conj_action_tensor and the end-basis vectors a caller reads.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import AlgebraElement, centralizes, orbit_sum
 from .structure import (
     VerificationError,
     centralizer_algebra_basis,
-    class_count,
     closure_failure,
-    conjugacy_classes,
     coset_rep_pairs,
     expand_in_orbit_basis,
     orbit_index,
@@ -61,19 +58,17 @@ class HomSpaceEmpty(ValueError):
     """More restrictions than the level allows: the hom space is empty."""
 
 
-@dataclass(frozen=True, order=True)
-class TensorBasisElement:
+class TensorBasisElement(namedtuple("TensorBasisElement",
+                                    "left coset_b coset_indices base_level")):
     """One basis tensor: left group element and a named coset representative.
 
     The representative is coset_b * beta_product(coset_indices) for the
     right cosets of the embedded level-`base_level` subgroup at the level of
     `coset_b`; coset_b lies in the chain of shifted copies between the two.
+    Tensors order as their field tuples.
     """
 
-    left: TreeAutomorphism
-    coset_b: TreeAutomorphism
-    coset_indices: tuple
-    base_level: int
+    __slots__ = ()
 
     def coset_rep(self) -> TreeAutomorphism:
         return self.coset_b * beta_product(self.coset_b.level, self.coset_indices)
@@ -198,8 +193,8 @@ class TensorOrbits(Sequence):
         return tuple(map(self.index.tensor, self.orbits[i]))
 
 
-@dataclass(frozen=True)
-class EndBasis:
+class EndBasis(namedtuple("EndBasis", "n k l dimension vectors acting_level "
+                                       "index_change_count")):
     """Orbit-sum basis of the endomorphism space for parameters (n, k, l).
 
     The commutation constraint on the space comes from the level-(n-l)
@@ -209,13 +204,7 @@ class EndBasis:
     is a TensorOrbits sequence that builds them on access.
     """
 
-    n: int
-    k: int
-    l: int
-    dimension: int
-    vectors: tuple
-    acting_level: int
-    index_change_count: int
+    __slots__ = ()
 
 
 def compose_tensor_sums(x: dict, y: dict) -> dict:
@@ -358,13 +347,11 @@ def power_table(n: int, max_k: int):
 
 # --- opposite-algebra comparison ----------------------------------------------
 
-@dataclass(frozen=True)
-class OppositeReport:
-    dimension: int
-    closure_ok: bool
-    transpose_ok: bool
-    left_constants: tuple   # composition by left multiplication
-    right_constants: tuple  # composition by right multiplication
+class OppositeReport(namedtuple("OppositeReport", "dimension closure_ok "
+                                 "transpose_ok left_constants right_constants")):
+    """The constants of composition by left and by right multiplication."""
+
+    __slots__ = ()
 
 
 def opposite_check(n: int, k: int) -> OppositeReport:
@@ -389,73 +376,3 @@ def opposite_check(n: int, k: int) -> OppositeReport:
     closure_ok = all(c is not None for row in left + right for c in row)
     transpose_ok = closure_ok and left == tuple(zip(*right))
     return OppositeReport(dim, closure_ok, transpose_ok, left, right)
-
-
-# --- spanning check for the identity-block factorization -----------------------
-
-class _Span:
-    """Echelonized sparse span of algebra elements over the rationals."""
-
-    def __init__(self, level: int):
-        self.level = level
-        self.rows = {}
-
-    def _reduce(self, x: AlgebraElement) -> AlgebraElement:
-        while x:
-            pivot = min(x.terms)
-            row = self.rows.get(pivot)
-            if row is None:
-                return x
-            x = x - row.scaled(x.coefficient(pivot))
-        return x
-
-    def add(self, x: AlgebraElement) -> bool:
-        x = self._reduce(x)
-        if x.is_zero():
-            return False
-        pivot = min(x.terms)
-        self.rows[pivot] = x.scaled(Fraction(1) / x.coefficient(pivot))
-        return True
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-
-def _generated_algebra_rows(level: int, generators):
-    """Linear basis of the unital algebra generated by the given elements."""
-    span = _Span(level)
-    one = AlgebraElement.one(level)
-    span.add(one)
-    frontier = [one]
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for g in generators:
-                w = v * g
-                reduced = span._reduce(w)
-                if reduced:
-                    span.add(reduced)
-                    fresh.append(reduced)
-        frontier = fresh
-    return list(span.rows.values())
-
-
-def id_factor_span_check(n: int):
-    """Dimensions of (class sums) x (generated block) against the centralizer.
-
-    Returns (product span dimension, centralizer dimension); equality means
-    the two factors together span the whole adjacent-level centralizer.
-    """
-    level = n + 1
-    block_rows = _generated_algebra_rows(
-        level, [elt for _, elt in d_generator_table(n, level)])
-    class_sums = [
-        AlgebraElement.from_elements(level, (embed_to(x, level) for x in c.elements))
-        for c in conjugacy_classes(n).orbits]
-    span = _Span(level)
-    for c in class_sums:
-        for d in block_rows:
-            span.add(c * d)
-    centralizer_dim = group_order(n) * (class_count(n) + 1)
-    return span.dimension, centralizer_dim

@@ -9,7 +9,7 @@ element sets and dimensions, which is what the finite computation can see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .structure import VerificationError, double_cosets
 from .treegroup import (
@@ -28,12 +28,11 @@ MACKEY_MAX_LEVEL = MAX_ENUM_LEVEL - 1
 _embedded = element_cache(lambda n: SubgroupSpec.embedded(n).elements(n + 1))
 
 
-@dataclass(frozen=True)
-class MackeySummand:
-    coset_rep: TreeAutomorphism
-    intersection: tuple
-    kind: str  # "Id" or "Ind0Res0"
-    bimodule_dimension: int
+class MackeySummand(namedtuple("MackeySummand",
+                               "coset_rep intersection kind bimodule_dimension")):
+    """One double-coset summand; `kind` is "Id" or "Ind0Res0"."""
+
+    __slots__ = ()
 
 
 def conjugate_intersection(n: int, g: TreeAutomorphism):

@@ -7,7 +7,7 @@ decomposition built here re-checks its own partition properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -108,27 +108,22 @@ def group_centralizer(n: int, k: int):
 
 # --- orbit decompositions ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(namedtuple("OrbitLabel", "kind base indices shift")):
     """Structured name for one conjugation orbit.
 
     kind "class": the orbit is (conjugacy class of `base`) * `shift`;
     kind "beta": the orbit is (orbit of the descending generator product
     over `indices`) * `shift`, with `shift` running over the commuting
-    shifted-copy chain.
+    shifted-copy chain; `base` is None for kind "beta".
     """
 
-    kind: str
-    base: TreeAutomorphism | None
-    indices: tuple
-    shift: TreeAutomorphism
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    ambient_level: int
-    orbits: tuple
-    labels: tuple | None = None
+class OrbitDecomposition(namedtuple("OrbitDecomposition",
+                                    "ambient_level orbits labels",
+                                    defaults=(None,))):
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -261,8 +256,8 @@ def closure_failure(basis):
 
 # --- coset systems -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetSystem:
+class CosetSystem(namedtuple("CosetSystem", "ambient_level representatives "
+                                             "sizes cosets stated_representatives")):
     """A verified partition of the ambient group into cosets.
 
     `representatives` are the canonical minima of each coset (sorted);
@@ -270,11 +265,7 @@ class CosetSystem:
     the construction asserts, aligned with `cosets`.
     """
 
-    ambient_level: int
-    representatives: tuple
-    sizes: tuple
-    cosets: tuple
-    stated_representatives: tuple
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -386,15 +377,11 @@ def double_cosets(n: int) -> CosetSystem:
 
 # --- defining relations -------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationInstance:
-    family: int
-    params: tuple
-    holds: bool
+class RelationInstance(namedtuple("RelationInstance", "family params holds")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(namedtuple("PresentationReport", "instances untestable")):
     """Evaluation of the three defining relation families at one level.
 
     Relation symbols are indexed from the root down (symbol 1 is the root
@@ -403,8 +390,7 @@ class PresentationReport:
     generator are recorded as untestable instead of evaluated.
     """
 
-    instances: tuple
-    untestable: tuple
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:

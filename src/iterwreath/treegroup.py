@@ -21,7 +21,7 @@ the shifted chains hat_chain(lo, hi), of which hat(m) is the one-copy case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as _cartesian
 
@@ -84,7 +84,8 @@ _pool: dict = {}
 
 # Translate tables: _ROTATE[d] adds d to every byte, mod 256, so _ROTATE[-d]
 # subtracts it.  They move leaf blocks between the halves of a tree.
-_ROTATE = [bytes(range(d, 256)) + bytes(range(d)) for d in range(256)]
+_BYTES_TWICE = bytes(range(256)) * 2
+_ROTATE = [_BYTES_TWICE[d:d + 256] for d in range(256)]
 
 
 def _check_level(level):
@@ -344,8 +345,7 @@ def reset_caches() -> None:
 
 # --- named standard subgroups ---------------------------------------------
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
     """A named standard subgroup of the level-`ambient` group.
 
     kind "full": the whole group; "embedded": the label-preserving copy of the
@@ -355,9 +355,7 @@ class SubgroupSpec:
     is embedded(0).
     """
 
-    kind: str
-    lo: int = 0
-    hi: int = 0
+    __slots__ = ()
 
     @classmethod
     def full(cls) -> "SubgroupSpec":
@@ -416,8 +414,7 @@ class SubgroupSpec:
 
 # --- decomposition along the tower ----------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "base hats indices")):
     """Unique splitting g = base * hats[0] * ... * hats[-1] * beta_product(I).
 
     For g at level a split above level b (see factorize), all parts are
@@ -426,9 +423,7 @@ class Factorization:
     increasing subset of {b+1, ..., a}.
     """
 
-    base: TreeAutomorphism
-    hats: tuple
-    indices: tuple
+    __slots__ = ()
 
 
 def factorize(g: TreeAutomorphism, base_level: int) -> Factorization:

@@ -15,6 +15,7 @@ from iterwreath import (
     orbit,
     orbit_sum,
 )
+from iterwreath.treegroup import reset_caches
 
 from cycle_notation import elem
 
@@ -109,6 +110,69 @@ def test_multiplication_associates_and_distributes():
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
             assert (x + y) * z == x * z + y * z
+
+
+def _naive_product(x, y):
+    """x * y by a double loop over element products, through the public
+    constructor: the reference for value and term order."""
+    out = {}
+    for g, a in x.terms.items():
+        for h, b in y.terms.items():
+            out[g * h] = out.get(g * h, 0) + a * b
+    return AlgebraElement(x.level, out)
+
+
+def assert_same_product(x, y):
+    p, ref = x * y, _naive_product(x, y)
+    assert p == ref
+    assert list(p.terms.items()) == list(ref.terms.items())
+    assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in p.terms.values())
+    return p
+
+
+@pytest.mark.parametrize("coefficient", ["int", "fraction"])
+def test_product_matches_naive_double_loop(coefficient):
+    rng = random.Random(17)
+    for level in (1, 2, 3):
+        group = full_group(level)
+        for size in (1, 2, 5, 12):
+            pair = []
+            for _ in range(2):
+                terms = {}
+                for _ in range(size):
+                    g = group[rng.randrange(len(group))]
+                    terms[g] = (rng.randrange(-3, 4) if coefficient == "int" else
+                                Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)))
+                pair.append(AlgebraElement(level, terms))
+            assert_same_product(*pair)
+
+
+def test_product_cancels_to_zero():
+    # z = (1 2)(3 4) is a central involution, so (e + z)(e - z) = e - z**2 = 0
+    e, z = AlgebraElement.one(2), AlgebraElement.of(elem(2, "(1 2)(3 4)"))
+    p = assert_same_product(e + z, e - z)
+    assert p.is_zero() and p.terms == {}
+    # a partial cancellation keeps the surviving terms in first-product order
+    g = AlgebraElement.of(elem(2, "(1 3)(2 4)"))
+    assert_same_product(e + z, e - z + g)
+
+
+def test_fraction_products_that_become_integral_are_stored_as_int():
+    e, z = identity(2), elem(2, "(1 2)(3 4)")
+    x = AlgebraElement(2, {e: Fraction(2, 3), z: Fraction(1, 2)})
+    y = AlgebraElement(2, {e: Fraction(3, 2), z: 2})
+    p = assert_same_product(x, y)
+    # e: 2/3 * 3/2 + 1/2 * 2 = 2;  z: 2/3 * 2 + 1/2 * 3/2 = 25/12
+    assert type(p.coefficient(e)) is int and p.coefficient(e) == 2
+    assert p.coefficient(z) == Fraction(25, 12)
+
+
+def test_product_interns_elements_the_pool_has_not_seen():
+    reset_caches()
+    g, h = elem(3, "(1 5)(2 6)(3 7)(4 8)"), elem(3, "(1 2)")
+    (k,) = (AlgebraElement.of(g) * AlgebraElement.of(h)).terms
+    assert k is g * h
 
 
 # --- coefficient contract -----------------------------------------------------------

@@ -266,3 +266,16 @@ def test_console_script_entry_point():
     blob = json.loads(proc.stdout)
     assert blob["payload"]["size"] == 2
     assert [e["cycles"] for e in blob["payload"]["elements"]] == ["e", "(1 2)"]
+
+
+def test_cold_start_imports_stay_small():
+    # a fresh process without site: only the package's own imports count
+    package_root = str(Path(iterwreath.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import iterwreath.cli; "
+            "iterwreath.cli.build_parser(); print(*sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "iterwreath.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "csv"}

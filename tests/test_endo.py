@@ -1,4 +1,4 @@
-from dataclasses import replace
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -31,11 +31,12 @@ from iterwreath.endo import (
     TensorBasisElement,
     compose_tensor_sums,
     end_basis_closure,
-    id_factor_span_check,
 )
 from iterwreath.treegroup import reset_caches
 
+import span_check
 from cycle_notation import elem
+from span_check import id_factor_span_check
 
 
 # --- tensor bases -----------------------------------------------------------
@@ -59,10 +60,18 @@ def test_tensor_basis_without_restriction_is_whole_level():
                                    (3, 1, 1), (3, 2, 2)])
 def test_tensor_basis_is_built_in_sorted_order(n, k, l):
     # lefts in word order times reps in (coset_b, indices) order is exactly
-    # the dataclass order, so no sort is needed
+    # the field-tuple order, so no sort is needed
     basis = tensor_basis(n, k, l)
     assert basis == tuple(sorted(basis))
     assert len(set(basis)) == len(basis)
+
+
+def test_tensor_basis_elements_sort_as_their_field_tuples():
+    basis = list(tensor_basis(2, 1, 1))
+    random.Random(4).shuffle(basis)
+    assert sorted(basis) == [TensorBasisElement(*fields)
+                             for fields in sorted(map(tuple, basis))]
+    assert min(basis) == tensor_basis(2, 1, 1)[0]
 
 
 def test_tensor_basis_rejects_over_restriction():
@@ -379,7 +388,7 @@ def test_end_basis_closure_first_failure_matches_residual_reference(n, k, l, mer
     basis = end_ind_res_basis(n, k, l)
     vectors = list(basis.vectors)
     vectors[merge:merge + 2] = [vectors[merge] + vectors[merge + 1]]
-    broken = replace(basis, vectors=tuple(vectors), dimension=len(vectors))
+    broken = basis._replace(vectors=tuple(vectors), dimension=len(vectors))
     result = end_basis_closure(broken)
     assert result == _residual_closure(broken.vectors)
     assert not result[0]
@@ -451,7 +460,7 @@ def test_class_sums_times_generated_block_span_centralizer(n):
 
 def test_span_pivot_normalization_is_exact():
     g, h = identity(2), elem(2, "(1 2)")
-    span = endo._Span(2)
+    span = span_check._Span(2)
     assert span.add(AlgebraElement(2, {g: 3, h: 1}))
     row = span.rows[g]
     assert type(row.terms[h]) is Fraction and row.terms[h] == Fraction(1, 3)
@@ -461,12 +470,12 @@ def test_span_pivot_normalization_is_exact():
 def test_span_check_coefficients_stay_exact(monkeypatch):
     spans = []
 
-    class RecordingSpan(endo._Span):
+    class RecordingSpan(span_check._Span):
         def __init__(self, level):
             super().__init__(level)
             spans.append(self)
 
-    monkeypatch.setattr(endo, "_Span", RecordingSpan)
+    monkeypatch.setattr(span_check, "_Span", RecordingSpan)
     id_factor_span_check(1)
     coefficients = [c for span in spans for row in span.rows.values()
                     for c in row.terms.values()]

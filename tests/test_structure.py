@@ -114,6 +114,15 @@ def test_conjugacy_class_counts_match_recursion():
         assert sum(o.size for o in decomp.orbits) == group_order(n)
 
 
+def test_record_count_is_the_number_of_parts():
+    # the count property shadows tuple.count on the record classes
+    decomp = conjugacy_classes(2)
+    assert decomp.count == len(decomp.orbits) == 5
+    assert decomp.labels is None
+    system = right_coset_reps(1, 1)
+    assert system.count == len(system.cosets) == 64
+
+
 def test_conjugacy_classes_level_four_is_opt_in():
     with pytest.raises(LevelTooLarge):
         conjugacy_classes(4)

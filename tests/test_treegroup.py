@@ -414,6 +414,39 @@ def test_subgroup_generators_generate():
         assert closure == set(spec.elements(ambient))
 
 
+def test_subgroup_spec_repr_is_the_field_form():
+    assert repr(SubgroupSpec.embedded(2)) == (
+        "SubgroupSpec(kind='embedded', lo=2, hi=2)")
+    assert repr(SubgroupSpec.hat_chain(1, 2)) == (
+        "SubgroupSpec(kind='hat_chain', lo=1, hi=2)")
+    with pytest.raises(ValueError, match=r"^SubgroupSpec\(kind='embedded', "
+                                         r"lo=3, hi=3\) does not fit in level 2$"):
+        SubgroupSpec.embedded(3).validate(2)
+
+
+def test_equal_records_hash_equal():
+    assert SubgroupSpec.embedded(2) == SubgroupSpec("embedded", 2, 2)
+    assert hash(SubgroupSpec.embedded(2)) == hash(("embedded", 2, 2))
+    assert SubgroupSpec.full() == SubgroupSpec("full", 0, 0)
+    g = elem(3, "(1 5 3 7)(2 6 4 8)")
+    assert factorize(g, 1) == factorize(g, 1)
+    assert hash(factorize(g, 1)) == hash(factorize(g, 1))
+    assert len({factorize(g, 1), factorize(g, 1), factorize(g, 2)}) == 2
+
+
+def test_subgroup_spec_methods_can_be_patched_on_the_class(monkeypatch):
+    calls = []
+    original = SubgroupSpec.elements
+
+    def recording(self, ambient):
+        calls.append((self, ambient))
+        return original(self, ambient)
+
+    monkeypatch.setattr(SubgroupSpec, "elements", recording)
+    assert len(SubgroupSpec.hat(1).elements(2)) == 2
+    assert calls == [(SubgroupSpec.hat(1), 2)]
+
+
 # --- tower factorization ------------------------------------------------------------
 
 def recompose(f):
