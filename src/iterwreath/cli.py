@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from collections import namedtuple
 
-from . import algebra, endo, mackey, structure, treegroup
-from .algebra import AlgebraElement
+from . import algebra, endo, mackey, structure
 from .structure import VerificationError
 from .treegroup import (
     LevelTooLarge,
@@ -57,11 +55,11 @@ def element_json(g) -> dict:
     return {"word": g.word_string(), "cycles": g.cycle_string()}
 
 
-def algebra_json(x: AlgebraElement) -> list:
+def algebra_json(x: algebra.AlgebraElement) -> list:
     return [[g.cycle_string(), frac_str(c)] for g, c in x.canonical_terms()]
 
 
-def algebra_text(x: AlgebraElement) -> str:
+def algebra_text(x: algebra.AlgebraElement) -> str:
     if x.is_zero():
         return "0"
     return " + ".join(f"{frac_str(c)}*{g.cycle_string()}"
@@ -89,8 +87,8 @@ def _placeholder(count, noun, *rest):
 def _cmd_enumerate(n):
     elements = full_group(n)
     expected = group_order(n)
-    chain_ok = all(
-        group_order(m) == 2 * group_order(m - 1) ** 2 for m in range(1, n + 1))
+    sizes = [len(full_group(m)) for m in range(n + 1)]
+    chain_ok = all(b == 2 * a * a for a, b in zip(sizes, sizes[1:]))
     payload = {
         "level": n,
         "size": len(elements),
@@ -385,253 +383,9 @@ def _cmd_opposite_check(n, k):
     return report.closure_ok and report.transpose_ok, payload, rows
 
 
-# --- the full desk-scale battery ----------------------------------------------
-
-def _sweep(command, cases, detail, **flags):
-    """Decide a check that restates a subcommand's claim by running it.
-
-    `cases` maps each detail key to the command's positional arguments, and
-    `detail` turns that case's report into the key's entry.  The check
-    passes iff every verdict is PASS; it decides nothing a second time.
-    """
-    ok, entries = True, {}
-    for key, params in cases.items():
-        report = run(command, params, flags)
-        ok = ok and report.verdict == "PASS"
-        entries[key] = detail(report)
-    return ok, entries
-
-
-def _check_group_sizes(allow_large, rng):
-    sizes = [len(full_group(n)) for n in range(1, 5)]
-    chain = all(sizes[i] == 2 * (sizes[i - 1] if i else 1) ** 2
-                for i in range(len(sizes)))
-    ok = sizes == [2, 8, 128, 32768] and chain
-    return ok, {"sizes": sizes, "doubling_square_chain": chain}
-
-
-def _check_presentation(allow_large, rng):
-    return _sweep("presentation", {f"n={n}": {"n": n} for n in range(1, 5)},
-                  lambda r: {"instances": r.payload["instances_checked"],
-                             "untestable": len(r.payload["untestable"]),
-                             "all_pass": r.verdict == "PASS"})
-
-
-def _check_centers(allow_large, rng):
-    levels = [1, 2, 3] + ([4] if allow_large else [])
-    return _sweep("center", {f"n={n}": {"n": n} for n in levels},
-                  lambda r: r.payload["match"])
-
-
-def _check_centralizers(allow_large, rng):
-    detail = {}
-    ok = True
-    for n in (1, 2, 3):
-        ambient = n + 1
-        computed = structure.group_centralizer(n, 1)
-        hat = SubgroupSpec.hat(n).elements(ambient)
-        product = tuple(sorted(
-            treegroup.embed_to(z, ambient) * b
-            for z in structure.center_closed_form(n) for b in hat))
-        match = computed == product and len(computed) == 2 * group_order(n)
-        ok = ok and match
-        detail[f"n={n}"] = {"size": len(computed), "matches_product_set": match}
-    return ok, detail
-
-
-def _check_class_counts(allow_large, rng):
-    expected = {1: 2, 2: 5, 3: 20, 4: 230}
-    levels = [1, 2, 3] + ([4] if allow_large else [])
-    ok, detail = _sweep("classes", {f"n={n}": {"n": n} for n in levels},
-                        lambda r: r.payload["count"], allow_large=allow_large)
-    return ok and all(detail[f"n={n}"] == expected[n] for n in levels), detail
-
-
-def _check_right_cosets(allow_large, rng):
-    cases = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)]
-    return _sweep("right-cosets",
-                  {f"(n={n},l={l})": {"n": n, "l": l} for n, l in cases},
-                  lambda r: r.payload["count"])
-
-
-def _check_double_cosets(allow_large, rng):
-    return _sweep("double-cosets", {f"n={n}": {"n": n} for n in (1, 2, 3)},
-                  lambda r: {"count": r.payload["count"],
-                             "sizes_ok": r.verdict == "PASS"})
-
-
-def _check_orbit_counts(allow_large, rng):
-    ok, detail = _sweep("orbits", {"(n=1,k=1)": {"n": 1, "k": 1},
-                                   "(n=2,k=1)": {"n": 2, "k": 1}},
-                        lambda r: r.payload["count"])
-    ok = ok and list(detail.values()) == [6, 48]
-    readings = ("predicted_corrected", "predicted_literal",
-                "matches_corrected", "matches_literal")
-    both_ok, both = _sweep(
-        "orbits", {"(n=1,k=2)": {"n": 1, "k": 2}},
-        lambda r: {"computed": r.payload["count"],
-                   **{key: r.payload[key] for key in readings}})
-    return ok and both_ok, {**detail, **both}
-
-
-def _check_centralizer_basis(allow_large, rng):
-    def entry(report):
-        p = report.payload
-        out = {"dimension": p["dimension"], "all_centralize": p["all_centralize"]}
-        if p["closure_checked"] is not None:
-            out["closed_under_product"] = p["closure_checked"]
-        return out
-    cases = [(1, 1), (2, 1), (1, 2)]
-    return _sweep("centralizer-basis",
-                  {f"(n={n},k={k})": {"n": n, "k": k} for n, k in cases}, entry)
-
-
-def _check_mackey(allow_large, rng):
-    return _sweep("mackey", {f"n={n}": {"n": n} for n in (1, 2, 3)},
-                  lambda r: {"id_summands": r.payload["id_multiplicity"],
-                             "dimension_total": r.payload["dimension_total"]})
-
-
-def _check_power_identity(allow_large, rng):
-    powers = endo.power_table(1, 7)
-    o = powers[0]
-    odd_ok = all(powers[k - 1] == o.scaled(1 << (k - 1)) for k in (3, 5, 7))
-    e = AlgebraElement.one(2)
-    flip = AlgebraElement.of(
-        treegroup.TreeAutomorphism.from_word((0, 1, 1)))
-    square_ok = powers[1] == e.scaled(2) + flip.scaled(2)
-    return odd_ok and square_ok, {
-        "odd_identity_k": [3, 5, 7],
-        "odd_ok": odd_ok,
-        "square": algebra_json(powers[1]),
-        "square_ok": square_ok,
-    }
-
-
-def _check_orbit_stability(allow_large, rng):
-    detail = {}
-    ok = True
-    for n in (1, 2, 3):
-        root = treegroup.beta(n + 1, n + 1)
-        small = algebra.orbit(root, SubgroupSpec.embedded(n))
-        big = algebra.orbit(root, SubgroupSpec.full())
-        stable = small.elements == big.elements
-        central = algebra.centralizes(
-            algebra.orbit_sum(root, SubgroupSpec.embedded(n)),
-            SubgroupSpec.full())
-        ok = ok and stable and central
-        detail[f"n={n}"] = {"orbits_equal": stable, "sum_central": central}
-    return ok, detail
-
-
-def _check_end_bases(allow_large, rng):
-    cases = [(1, 1), (2, 1), (1, 2)]
-    ok, detail = _sweep(
-        "end-basis",
-        {f"End({n},Ind^{k})": {"n": n, "k": k, "l": 0} for n, k in cases},
-        lambda r: {"dimension": r.payload["dimension"],
-                   "matches": r.payload["matches_centralizer_basis"]})
-    sizes_ok = (len(endo.tensor_basis(1, 1, 1)) == 4
-                and len(endo.tensor_basis(2, 1, 1)) == 32)
-    ok = ok and sizes_ok
-    detail["tensor_sizes_ok"] = sizes_ok
-    try:
-        endo.tensor_basis(1, 1, 2)
-        rejected = False
-    except endo.HomSpaceEmpty:
-        rejected = True
-    ok = ok and rejected
-    detail["over_restriction_rejected"] = rejected
-    return ok, detail
-
-
-def _check_opposite(allow_large, rng):
-    return _sweep("opposite-check",
-                  {f"(n=1,k={k})": {"n": 1, "k": k} for k in (0, 1)},
-                  lambda r: {key: r.payload[key] for key in
-                             ("dimension", "closure_ok", "transpose_ok")})
-
-
-def _check_d_generators(allow_large, rng):
-    detail = {}
-    table12 = endo.d_generator_table(1, 2)
-    labels12 = [label for label, _ in table12]
-    detail["labels(1,2)"] = labels12
-    ok = labels12 == ["b1^(0)", "o(b2)"]
-    detail["count(2,4)"] = len(endo.d_generator_table(2, 4))
-    ok = ok and detail["count(2,4)"] == 8
-    for n in (1, 2):
-        table = endo.d_generator_table(n, n + 1)
-        orbit_sums = [elt for label, elt in table if label.startswith("o(")]
-        gens = [elt for label, elt in table if label.startswith("b")]
-        commute = all(o * g == g * o for o in orbit_sums for g in gens)
-        ok = ok and commute
-        detail[f"commutators_vanish(n={n})"] = commute
-    return ok, detail
-
-
-def _check_axioms_spot(allow_large, rng):
-    detail = {}
-    ok = True
-    for n in (3, 4):
-        group = full_group(n)
-        order = len(group)
-        e = treegroup.identity(n)
-        trials = 200
-        good = True
-        for _ in range(trials):
-            a = group[rng.randrange(order)]
-            b = group[rng.randrange(order)]
-            c = group[rng.randrange(order)]
-            if (a * b) * c != a * (b * c):
-                good = False
-            if a * a.inverse() != e:
-                good = False
-        ok = ok and good
-        detail[f"n={n}"] = {"triples": trials, "ok": good}
-    return ok, detail
-
-
-_CHECKS = [
-    ("group-sizes", _check_group_sizes),
-    ("presentation", _check_presentation),
-    ("center", _check_centers),
-    ("centralizer", _check_centralizers),
-    ("class-counts", _check_class_counts),
-    ("right-cosets", _check_right_cosets),
-    ("double-cosets", _check_double_cosets),
-    ("orbit-counts", _check_orbit_counts),
-    ("centralizer-basis", _check_centralizer_basis),
-    ("mackey", _check_mackey),
-    ("power-identity", _check_power_identity),
-    ("orbit-stability", _check_orbit_stability),
-    ("end-bases", _check_end_bases),
-    ("opposite-algebra", _check_opposite),
-    ("d-generators", _check_d_generators),
-    ("group-axioms-spot", _check_axioms_spot),
-]
-
-
 def _cmd_verify_all(seed, allow_large):
-    rng = random.Random(seed)
-    results = []
-    all_ok = True
-    for name, fn in _CHECKS:
-        try:
-            ok, detail = fn(allow_large, rng)
-        except VerificationError as exc:
-            ok, detail = False, {"error": str(exc)}
-        results.append({"check": name, "passed": ok, "detail": detail})
-        all_ok = all_ok and ok
-    payload = {
-        "allow_large": allow_large,
-        "seed": seed,
-        "checks": results,
-        "passed": sum(1 for r in results if r["passed"]),
-        "failed": sum(1 for r in results if not r["passed"]),
-    }
-    rows = [[r["check"], _VERDICTS[r["passed"]]] for r in results]
-    return all_ok, payload, rows
+    from . import battery  # only this command compiles the battery
+    return battery.verify_all(seed, allow_large)
 
 
 # --- rendering and dispatch ----------------------------------------------------

@@ -48,7 +48,6 @@ from .treegroup import (
     group_order,
     hat_embed,
     identity,
-    products,
 )
 
 MAX_POWER_EXPONENT = 8
@@ -269,13 +268,13 @@ def end_ind_res_basis(n: int, k: int, l: int) -> EndBasis:
             parent[t] = t = parent[parent[t]]
         return t
 
+    lifts = [embed_to(g, m) for g in gens]
     movers, changes = {}, 0  # movers[g, y][a]: the tensor (g * a * y) (x) rep 0
     for r, row in enumerate(_generator_table(index, gens)):
-        for g, (target, y) in zip(gens, row):
+        for g, (target, y) in zip(lifts, row):
             changes += index.reps[target][1] != index.reps[r][1]
             if (g, y) not in movers:
-                movers[g, y] = [index.encode(gay, 0) for gay in products(
-                    [embed_to(g, m)], [a * y for a in index.lefts])]
+                movers[g, y] = [index.encode(g * a * y, 0) for a in index.lefts]
             for a, b in zip(range(r, index.size, width), movers[g, y]):
                 ra, rb = find(a), find(b + target)
                 if ra < rb:

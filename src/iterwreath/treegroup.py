@@ -270,19 +270,6 @@ def beta_product(level: int, indices) -> TreeAutomorphism:
     return math.prod((beta(level, i) for i in indices), start=identity(level))
 
 
-def products(lefts, rights) -> list:
-    """[g * h for g in lefts for h in rights]; each g's table is built once."""
-    out = []
-    for g in lefts:
-        table, level = g.perm.ljust(256, b"\0"), g.level
-        for h in rights:
-            if h.level != level:
-                raise LevelMismatch(f"levels {level} and {h.level}")
-            perm = h.perm.translate(table)
-            out.append(_pool.get(perm) or _from_perm(level, perm))
-    return out
-
-
 def perm_embed(g: TreeAutomorphism) -> TreeAutomorphism:
     """Inclusion into the next level fixing the new labels 2**n+1..2**(n+1)."""
     _check_level(g.level + 1)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import iterwreath
-from iterwreath import endo
+from iterwreath import battery, cli, endo
 from iterwreath.cli import _COMMANDS, _positionals, main
 
 
@@ -100,6 +101,44 @@ def test_mackey_report_schema(capsys):
     assert {s["type"] for s in summands} == {"Id", "Ind0Res0"}
     assert all({"rep", "intersection_order", "type", "dimension"} <= set(s)
                for s in summands)
+
+
+def test_enumerate_chain_reads_the_enumerated_levels(monkeypatch, capsys):
+    # one level-2 element short: level 3 is no longer twice its square
+    original = cli.full_group
+
+    def short(level):
+        group = original(level)
+        return group[:-1] if level == 2 else group
+
+    monkeypatch.setattr(cli, "full_group", short)
+    code, out = run_cli(capsys, "enumerate", "3", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["size"] == blob["payload"]["expected_size"]
+    assert blob["payload"]["doubling_square_chain"] is False
+
+
+# the verify-all check that reads each command's report
+SWEPT_BY = {"enumerate": battery._check_group_sizes,
+            "power-table": battery._check_power_identity,
+            "tensor-basis": battery._check_end_bases,
+            "d-gens": battery._check_d_generators}
+
+
+@pytest.mark.parametrize("command", SWEPT_BY)
+def test_battery_check_fails_when_the_command_it_reads_fails(
+        monkeypatch, command):
+    handler = _COMMANDS[command][0]
+
+    def failing(**params):
+        _, payload, rows = handler(**params)
+        return False, payload, rows
+
+    monkeypatch.setitem(_COMMANDS, command, (failing, *_COMMANDS[command][1:]))
+    ok, _ = SWEPT_BY[command](False, random.Random(0))
+    assert ok is False
 
 
 def test_guard_exit_codes(capsys):
@@ -278,4 +317,5 @@ def test_cold_start_imports_stay_small():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "iterwreath.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "typing", "csv"}
+    assert not loaded & {"dataclasses", "inspect", "typing", "csv",
+                         "iterwreath.battery"}

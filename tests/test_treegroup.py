@@ -20,7 +20,7 @@ from iterwreath import (
     identity,
     perm_embed,
 )
-from iterwreath.treegroup import MAX_BYTE_LEVEL, _merge_word, products
+from iterwreath.treegroup import MAX_BYTE_LEVEL, _merge_word
 
 from cycle_notation import elem, images
 
@@ -519,23 +519,6 @@ def test_axioms_random_spot_checks_levels_three_four():
             a, b, c = (group[rng.randrange(len(group))] for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert a * a.inverse() == e
-
-
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_products_match_pairwise_multiplication(level):
-    rng = random.Random(level)
-    group = full_group(level)
-    lefts = [rng.choice(group) for _ in range(5)]
-    rights = [rng.choice(group) for _ in range(7)]
-    assert products(lefts, rights) == [g * h for g in lefts for h in rights]
-    assert products(lefts, []) == [] and products([], rights) == []
-
-
-def test_products_reject_mixed_levels():
-    with pytest.raises(LevelMismatch):
-        products([beta(2, 1)], [identity(2), beta(3, 1)])
-    with pytest.raises(LevelMismatch):
-        products([beta(2, 1), beta(3, 1)], [identity(2)])
 
 
 def test_embed_to_and_power():
