@@ -26,7 +26,9 @@ from .treegroup import (
     TreeAutomorphism,
     _from_perm,
     _pool,
+    from_perms,
     identity,
+    table,
 )
 
 
@@ -114,9 +116,9 @@ class AlgebraElement:
         self._check(other)
         out, rights = {}, other.terms.items()
         for g, a in self.terms.items():
-            table = g.perm.ljust(256, b"\0")  # h.perm through it is g * h
+            g_table = table(g.perm)  # h.perm through it is g * h
             for h, b in rights:
-                k = h.perm.translate(table)
+                k = h.perm.translate(g_table)
                 out[k] = out.get(k, 0) + a * b
         return AlgebraElement._from_perms(self.level, out)
 
@@ -151,21 +153,23 @@ def orbit(g: TreeAutomorphism, acting: SubgroupSpec) -> Orbit:
     Walks the conjugation graph spanned by the subgroup's generators only;
     that suffices because generators generate.  Every generator is an
     embedded single swap, hence an involution, so t * x * t conjugates.
+    The walk runs on `perm` bytes and interns only the orbit it finds.
     """
     level = g.level
     if level > MAX_ENUM_LEVEL:
         raise LevelTooLarge(f"orbit computation capped at level {MAX_ENUM_LEVEL}")
-    gens = acting.generators(level)
-    seen = {g}
-    frontier = [g]
+    gens = [(t.perm, table(t.perm)) for t in acting.generators(level)]
+    seen = {g.perm}
+    frontier = [g.perm]
     while frontier:
         x = frontier.pop()
-        for t in gens:
-            y = t * x * t
+        x_table = table(x)  # t.perm through it is x * t
+        for t, t_table in gens:
+            y = t.translate(x_table).translate(t_table)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    elems = tuple(sorted(seen))
+    elems = from_perms(level, seen)
     return Orbit(elems[0], elems)
 
 

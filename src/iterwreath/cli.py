@@ -364,7 +364,9 @@ def _cmd_power_table(n, max_k):
             rows.append([k, algebra_text(p) if len(p.terms) <= MAX_LISTED_VECTORS
                          else f"<{len(p.terms)} terms>"])
     payload = {"base_level": n, "max_k": max_k, "powers": entries}
-    return True if n == 1 else None, payload, rows
+    # the claim, made at n = 1 only: every odd power from k = 3 on collapses
+    odd = [e["collapses_to_multiple"] for e in entries[2::2]]
+    return all(odd) if n == 1 and odd else None, payload, rows
 
 
 def _cmd_opposite_check(n, k):
@@ -467,8 +469,15 @@ def _flags(command):
             if a.startswith("--")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser (subcommands too) whose usage error is one line."""
+
+    def error(self, message):
+        self.exit(2, f"usage: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iterwreath",
         description="Exact verification tables for the binary-tree "
                     "automorphism tower.")

@@ -19,6 +19,7 @@ from .treegroup import (
     TreeAutomorphism,
     element_cache,
     group_order,
+    table,
 )
 
 MACKEY_MAX_LEVEL = MAX_ENUM_LEVEL - 1
@@ -43,9 +44,9 @@ def conjugate_intersection(n: int, g: TreeAutomorphism):
     if g.level != n + 1:
         raise ValueError(f"element level {g.level}, expected {n + 1}")
     base = _embedded(n)
-    ginv = g.inverse()
-    conjugated = {g * x * ginv for x in base}
-    return tuple(x for x in base if x in conjugated)
+    g_table, ginv = table(g.perm), g.inverse().perm
+    conjugated = {ginv.translate(table(x.perm)).translate(g_table) for x in base}
+    return tuple(x for x in base if x.perm in conjugated)
 
 
 def mackey_decomposition(n: int):

@@ -17,13 +17,18 @@ from .treegroup import (
     LevelTooLarge,
     SubgroupSpec,
     TreeAutomorphism,
+    _from_perm,
+    _pool,
+    _rank,
     beta,
     beta_product,
     element_cache,
     embed_to,
+    from_perms,
     full_group,
     group_order,
     identity,
+    table,
 )
 
 
@@ -101,9 +106,12 @@ def group_centralizer(n: int, k: int):
     if ambient > MAX_ENUM_LEVEL:
         raise LevelTooLarge(
             f"centralizer computation capped at level {MAX_ENUM_LEVEL}")
-    gens = SubgroupSpec.embedded(n).generators(ambient)
-    return tuple(x for x in full_group(ambient)
-                 if all(x * t == t * x for t in gens))
+    out = full_group(ambient)
+    for t in SubgroupSpec.embedded(n).generators(ambient):
+        t_table = table(t.perm)  # x * t against t * x, on perm bytes
+        out = [x for x in out
+               if t.perm.translate(table(x.perm)) == x.perm.translate(t_table)]
+    return tuple(out)
 
 
 # --- orbit decompositions ---------------------------------------------------
@@ -273,15 +281,17 @@ class CosetSystem(namedtuple("CosetSystem", "ambient_level representatives "
 
 
 def _coset_system(systems, ambient: int, label: str) -> CosetSystem:
-    """Sort (coset, stated representative) pairs and verify the partition."""
-    systems = sorted(systems)
+    """Order (coset, stated representative) pairs by each coset's least
+    element (valid cosets are disjoint) and verify the partition."""
+    systems = sorted(systems, key=lambda system: system[0][0].rank)
     total = 0
     union = set()
     for coset, _ in systems:
-        if len(set(coset)) != len(coset):
+        ranks = set(map(_rank, coset))
+        if len(ranks) != len(coset):
             raise VerificationError(f"{label}: repeated element inside a coset")
         total += len(coset)
-        union.update(coset)
+        union |= ranks
     order = group_order(ambient)
     if total != order or len(union) != order:
         raise VerificationError(
@@ -308,12 +318,16 @@ def coset_rep_pairs(base: int, ambient: int):
     if base == ambient:
         return ((identity(ambient), (), identity(ambient)),)
     chain = SubgroupSpec.hat_chain(base, ambient - 1).elements(ambient)
+    betas = [(indices, beta_product(ambient, indices).perm)
+             for size in range(ambient - base + 1)
+             for indices in combinations(range(base + 1, ambient + 1), size)]
     out = []
     for b in chain:
-        for size in range(ambient - base + 1):
-            for indices in combinations(range(base + 1, ambient + 1), size):
-                out.append((b, indices, b * beta_product(ambient, indices)))
-    out.sort(key=lambda item: item[2])
+        b_table = table(b.perm)  # w through it is b * w
+        for indices, w in betas:
+            p = w.translate(b_table)
+            out.append((b, indices, _pool.get(p) or _from_perm(ambient, p)))
+    out.sort(key=lambda item: item[2].rank)
     return tuple(out)
 
 
@@ -323,9 +337,9 @@ def right_coset_reps(n: int, l: int) -> CosetSystem:
     if ambient > MAX_ENUM_LEVEL:
         raise LevelTooLarge(
             f"right-coset enumeration capped at level {MAX_ENUM_LEVEL}")
-    base = SubgroupSpec.embedded(n).elements(ambient)
+    tables = [table(x.perm) for x in SubgroupSpec.embedded(n).elements(ambient)]
     system = _coset_system(
-        ((tuple(sorted(x * rep for x in base)), rep)
+        ((from_perms(ambient, [rep.perm.translate(t) for t in tables]), rep)
          for _, _, rep in coset_rep_pairs(n, ambient)),
         ambient, "right cosets")
     expected = group_order(ambient) // group_order(n)
@@ -349,29 +363,35 @@ def double_cosets(n: int) -> CosetSystem:
         raise LevelTooLarge(
             f"double-coset enumeration capped at level {MAX_ENUM_LEVEL}")
     spec = SubgroupSpec.embedded(n)
-    base = spec.elements(ambient)
-    gens = spec.generators(ambient)
+    base = [y.perm for y in spec.elements(ambient)]
+    gen_tables = [table(t.perm) for t in spec.generators(ambient)]
     order = group_order(n)
 
     systems = []
     for b in SubgroupSpec.hat(n).elements(ambient):
-        coset = tuple(sorted(b * y for y in base))
-        if len(set(coset)) != order:
+        b_table = table(b.perm)
+        coset = from_perms(ambient, (y.translate(b_table) for y in base))
+        block = {x.perm for x in coset}
+        if len(block) != order:
             raise VerificationError("shifted-copy coset has repeated elements")
-        block = set(coset)
         # left stability by generators makes b*A_n the full two-sided coset
-        for t in gens:
-            if any(t * x not in block for x in coset):
+        for t_table in gen_tables:
+            if any(x.translate(t_table) not in block for x in block):
                 raise VerificationError(
                     f"coset of {b.cycle_string()} is not left-stable")
         systems.append((coset, b))
 
     root = beta(ambient, ambient)
-    big = {x * root * y for x in base for y in base}
-    if len(big) != order * order:
+    right = [y.translate(table(root.perm)) for y in base]  # root * y
+    # cosets are interned as they are built: a set of fresh perm bytes costs
+    # memory that the interned elements already hold
+    big = from_perms(ambient, (p.translate(x_table)
+                               for x_table in map(table, base) for p in right))
+    distinct = len(set(map(_rank, big)))
+    if distinct != order * order:
         raise VerificationError(
-            f"root-swap coset has {len(big)} elements, expected {order**2}")
-    systems.append((tuple(sorted(big)), root))
+            f"root-swap coset has {distinct} elements, expected {order**2}")
+    systems.append((big, root))
     return _coset_system(systems, ambient, "double cosets")
 
 

@@ -12,10 +12,14 @@ leaf permutation as 0-based bytes (so levels stop at MAX_BYTE_LEVEL = 8), and
 images and keeps exactly the maps that preserve the leaf blocks.
 
 Values are immutable and interned in one pool keyed by word and by `perm`, so
-equality is cheap and a product is one `bytes.translate`.  All functions here
-are pure; `reset_caches` empties the pool and every `element_cache`, such as
-`full_group`.  `SubgroupSpec` names the full group, its embedded copies and
-the shifted chains hat_chain(lo, hi), of which hat(m) is the one-copy case.
+equality is cheap and a product is one `bytes.translate`: `table(g.perm)` is
+the 256-byte table through which `h.perm` becomes the `perm` of g * h.  Loops
+over many products stay on `perm` bytes and intern only their results:
+`from_perms(level, perms)` returns the element of each, in `rank` order.  All
+functions here are pure; `reset_caches` empties the pool and every
+`element_cache`, such as `full_group`.  `SubgroupSpec` names the full group,
+its embedded copies and the shifted chains hat_chain(lo, hi), of which hat(m)
+is the one-copy case.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product as _cartesian
+from operator import attrgetter
 
 # Exhaustive enumeration stops at level 4 (32768 elements); level 5 already
 # has 2**31 elements.
@@ -161,7 +166,7 @@ class TreeAutomorphism:
         # "self after other" on leaf labels.
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} and {other.level}")
-        perm = other.perm.translate(self.perm.ljust(256, b"\0"))
+        perm = other.perm.translate(table(self.perm))
         return _pool.get(perm) or _from_perm(self.level, perm)
 
     def inverse(self) -> "TreeAutomorphism":
@@ -202,6 +207,20 @@ class TreeAutomorphism:
 
     def __str__(self) -> str:
         return self.cycle_string()
+
+
+def table(perm: bytes) -> bytes:
+    """Translate table of a `perm`: p.translate(table(g.perm)) is g after p."""
+    return perm.ljust(256, b"\0")
+
+
+_rank = attrgetter("rank")
+
+
+def from_perms(level: int, perms) -> tuple:
+    """The level-`level` element of each `perm` (repeats kept), in rank order."""
+    return tuple(sorted([_pool.get(p) or _from_perm(level, p) for p in perms],
+                        key=_rank))
 
 
 def _intern(level, word, perm):
@@ -371,6 +390,7 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
         if needed > ambient:
             raise ValueError(f"{self} does not fit in level {ambient}")
 
+    @element_cache  # every orbit walk asks for its acting group's generators
     def generators(self, ambient: int):
         self.validate(ambient)
         if self.kind == "full":
@@ -391,12 +411,15 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
                 f"{MAX_ENUM_LEVEL}, got {ambient}")
         if self.kind == "full":
             return full_group(ambient)
+        ident = _ROTATE[0][:1 << ambient]  # members fix the labels no factor moves
         if self.kind == "embedded":
-            return tuple(sorted(embed_to(g, ambient) for g in full_group(self.lo)))
-        factors = [[embed_to(hat_embed(g), ambient) for g in full_group(m)]
-                   for m in range(self.lo, self.hi + 1)]
-        return tuple(sorted(math.prod(combo, start=identity(ambient))
-                            for combo in _cartesian(*factors)))
+            return from_perms(ambient, (g.perm + ident[1 << self.lo:]
+                                        for g in full_group(self.lo)))
+        blocks = [[g.perm.translate(_ROTATE[1 << m]) for g in full_group(m)]
+                  for m in range(self.lo, self.hi + 1)]
+        return from_perms(ambient, (ident[:1 << self.lo] + b"".join(parts)
+                                    + ident[2 << self.hi:]
+                                    for parts in _cartesian(*blocks)))
 
 
 # --- decomposition along the tower ----------------------------------------

@@ -83,6 +83,30 @@ def test_power_table_text_shows_collapse(capsys):
     assert "4/1 * o" in out
 
 
+def test_power_table_verdict_reads_the_odd_powers(monkeypatch, capsys):
+    original = endo.power_table
+
+    def broken(n, max_k):
+        powers = list(original(n, max_k))
+        powers[4] = powers[4].scaled(3)  # k = 5 no longer collapses
+        return tuple(powers)
+
+    monkeypatch.setattr(endo, "power_table", broken)
+    code, out = run_cli(capsys, "power-table", "1", "5", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert [p["collapses_to_multiple"] for p in blob["payload"]["powers"]] == [
+        True, False, True, False, False]
+
+
+@pytest.mark.parametrize("max_k, verdict", [(1, "INFO"), (2, "INFO"), (3, "PASS")])
+def test_power_table_claims_nothing_below_the_cube(capsys, max_k, verdict):
+    code, out = run_cli(capsys, "power-table", "1", str(max_k), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == verdict
+
+
 def test_presentation_pass(capsys):
     code, out = run_cli(capsys, "presentation", "4", "--format", "json")
     assert code == 0
@@ -284,6 +308,30 @@ def test_end_basis_index_change_fails_the_verdict(monkeypatch, capsys):
     blob = json.loads(out)
     assert blob["verdict"] == "FAIL"
     assert blob["payload"]["index_change_count"] > 0
+
+
+def test_verify_all_seed_changes_nothing_but_the_seed():
+    # only the group-axiom spot check draws from the seed
+    def payload(seed):
+        report = cli.run("verify-all", {}, {"seed": seed, "allow_large": False})
+        assert report.parameters == {"seed": seed, "allow_large": False}
+        return {**report.payload, "seed": None}
+
+    reference = payload(1)
+    assert reference["failed"] == 0
+    for seed in (0, -1, 2 ** 70):
+        assert payload(seed) == reference, seed
+
+
+def test_seed_that_is_not_an_integer_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--seed", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: iterwreath verify-all: ")
+    assert "--seed" in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_usage_error_exit_code():
