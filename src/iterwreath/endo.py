@@ -325,8 +325,8 @@ def d_generator_table(n: int, m: int):
 def power_table(n: int, max_k: int):
     """Exact powers of the adjacent-level orbit sum of the root swap.
 
-    For n = 1 the odd powers collapse to 2**(k-1) times the orbit sum; that
-    identity is asserted.  Other expansions are recorded, not asserted.
+    Nothing is asserted here: the power-table report decides whether, at
+    n = 1, the odd powers collapse to 2**(k-1) times the orbit sum.
     """
     if n < 1 or n > MAX_ENUM_LEVEL - 1:
         raise LevelTooLarge(f"power table needs 1 <= n <= {MAX_ENUM_LEVEL - 1}")
@@ -336,11 +336,6 @@ def power_table(n: int, max_k: int):
     powers = [o]
     for _ in range(max_k - 1):
         powers.append(powers[-1] * o)
-    if n == 1:
-        for k in range(3, max_k + 1, 2):
-            if powers[k - 1] != o.scaled(1 << (k - 1)):
-                raise VerificationError(
-                    f"odd power identity fails at k={k}")
     return tuple(powers)
 
 
@@ -358,7 +353,10 @@ def opposite_check(n: int, k: int) -> OppositeReport:
 
     Natural transformations of iterated restriction compose by multiplying on
     the left, those of iterated induction on the right; on the shared
-    orbit-sum basis the two tables must be transposes of each other.
+    orbit-sum basis the two tables must be transposes of each other.  The
+    left table multiplies algebra elements; the right one composes the same
+    sums as tensors of the l = 0 bimodule, whose composition x after y
+    multiplies y's elements by x's, so no product is read twice.
     """
     if n + k > MAX_ENUM_LEVEL - 1:
         raise LevelTooLarge(
@@ -366,12 +364,14 @@ def opposite_check(n: int, k: int) -> OppositeReport:
     basis = centralizer_algebra_basis(n, k)
     dim = len(basis)
     index = orbit_index(v.terms for v in basis)
-
-    def expand(x, y):
-        return expand_in_orbit_basis((x * y).terms, index, dim)
-
-    left = tuple(tuple(expand(a, b) for b in basis) for a in basis)
-    right = tuple(tuple(expand(b, a) for b in basis) for a in basis)
+    left = tuple(tuple(expand_in_orbit_basis((a * b).terms, index, dim)
+                       for b in basis) for a in basis)
+    tensors = _tensor_index(n + k, n, n)
+    sums = [{tensors.encode(g, 0): c for g, c in v.terms.items()} for v in basis]
+    tensor_orbits = orbit_index(sums)
+    right = tuple(tuple(expand_in_orbit_basis(tensors.compose(a, b),
+                                              tensor_orbits, dim)
+                        for b in sums) for a in sums)
     closure_ok = all(c is not None for row in left + right for c in row)
     transpose_ok = closure_ok and left == tuple(zip(*right))
     return OppositeReport(dim, closure_ok, transpose_ok, left, right)

@@ -180,29 +180,30 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
 
     spec = SubgroupSpec.embedded(n)
     orbits = _orbit_partition(full_group(ambient), spec)
-    by_rep = {o.representative: i for i, o in enumerate(orbits)}
+    orbit_of = {g.perm: i for i, o in enumerate(orbits) for g in o.elements}
 
+    # a label's set is (elements) * h, as the perm bytes of each product
     shifts = SubgroupSpec.hat_chain(n, ambient - 1).elements(ambient)
     classes = conjugacy_classes(n)
     label_sets = []
     for cls in classes.orbits:
-        emb = tuple(embed_to(x, ambient) for x in cls.elements)
+        tables = [table(embed_to(x, ambient).perm) for x in cls.elements]
         rep = embed_to(cls.representative, ambient)
         for h in shifts:
             label_sets.append((OrbitLabel("class", rep, (), h),
-                               frozenset(x * h for x in emb)))
+                               frozenset(h.perm.translate(t) for t in tables)))
     for size in range(1, k + 1):
         for indices in combinations(range(n + 1, ambient + 1), size):
             w = beta_product(ambient, indices).inverse()
-            elems = orbit(w, spec).elements
+            tables = [table(x.perm) for x in orbit(w, spec).elements]
             for h in shifts:
                 label_sets.append((OrbitLabel("beta", None, indices, h),
-                                   frozenset(x * h for x in elems)))
+                                   frozenset(h.perm.translate(t) for t in tables)))
 
     assigned = [None] * len(orbits)
-    for label, elems in label_sets:
-        idx = by_rep.get(min(elems))
-        if idx is None or frozenset(orbits[idx].elements) != elems:
+    for label, perms in label_sets:
+        idx = orbit_of.get(next(iter(perms)))
+        if idx is None or {g.perm for g in orbits[idx].elements} != perms:
             raise VerificationError(f"label {label} does not match any orbit")
         if assigned[idx] is not None:
             raise VerificationError(

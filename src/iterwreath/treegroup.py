@@ -1,20 +1,22 @@
 """Exact arithmetic in the tower of iterated wreath products of S2.
 
 The level-n group is the automorphism group of the complete binary tree with
-2**n leaves; its order is 2**(2**n - 1).  An element is stored canonically as
-a *swap word*: one bit per internal node, breadth-first from the root, bit 1
-meaning the node's two subtrees are exchanged.  It also stores `perm`, its
+2**n leaves; its order is 2**(2**n - 1).  An element is stored as `perm`, its
 leaf permutation as 0-based bytes (so levels stop at MAX_BYTE_LEVEL = 8), and
-`rank`, the int "1" + word in binary, which orders by level, then by word.
+`rank`, the int "1" + swap word in binary, which orders by level, then by
+word.  The *swap word* has one bit per internal node, breadth-first from the
+root, bit 1 meaning the node's two subtrees are exchanged; it is read off
+`perm` (a node's bit is a bit of its first leaf's image), and `from_word` is
+the one way back: leaf x goes to x XOR the swap bits of its ancestors.
 
 `perm` is the only permutation form: `images` is its 1-based view,
 `cycle_string` reads the cycles off it, and `from_permutation` takes 1-based
 images and keeps exactly the maps that preserve the leaf blocks.
 
-Values are immutable and interned in one pool keyed by word and by `perm`, so
-equality is cheap and a product is one `bytes.translate`: `table(g.perm)` is
-the 256-byte table through which `h.perm` becomes the `perm` of g * h.  Loops
-over many products stay on `perm` bytes and intern only their results:
+Values are immutable and interned in one pool keyed by `perm`, so equality is
+cheap and a product is one `bytes.translate`: `table(g.perm)` is the 256-byte
+table through which `h.perm` becomes the `perm` of g * h.  Loops over many
+products stay on `perm` bytes and intern only their results:
 `from_perms(level, perms)` returns the element of each, in `rank` order.  All
 functions here are pure; `reset_caches` empties the pool and every
 `element_cache`, such as `full_group`.  `SubgroupSpec` names the full group,
@@ -60,37 +62,17 @@ def group_order(level: int) -> int:
     return 1 << ((1 << level) - 1)
 
 
-# --- swap-word plumbing ---------------------------------------------------
-#
-# The breadth-first word of a level-n tree has one block of 2**j bits per
-# depth j; the left subtree owns the first half of each block.
-
-def _split_word(level, word):
-    left, right = [], []
-    for j in range(level - 1):  # the depth-(j+1) block starts at 2**(j+1) - 1
-        half = 1 << j
-        left += word[2 * half - 1:3 * half - 1]
-        right += word[3 * half - 1:4 * half - 1]
-    return word[0], tuple(left), tuple(right)
-
-
-def _merge_word(level, s, left, right):
-    out = [s]
-    for j in range(level - 1):
-        block = slice((1 << j) - 1, (2 << j) - 1)
-        out += left[block] + right[block]
-    return tuple(out)
-
-
 # --- canonical, interned elements ----------------------------------------
 
-# One pool for both keys: a word tuple never equals a perm bytes.
+# One pool keyed by `perm`; its length fixes the level.
 _pool: dict = {}
 
 # Translate tables: _ROTATE[d] adds d to every byte, mod 256, so _ROTATE[-d]
 # subtracts it.  They move leaf blocks between the halves of a tree.
 _BYTES_TWICE = bytes(range(256)) * 2
 _ROTATE = [_BYTES_TWICE[d:d + 256] for d in range(256)]
+# _BIT[j] sends a byte to ASCII "1" if its bit j is set, else to "0".
+_BIT = [bytes(48 + (v >> j & 1) for v in range(256)) for j in range(8)]
 
 
 def _check_level(level):
@@ -98,10 +80,27 @@ def _check_level(level):
         raise LevelTooLarge(f"levels stop at {MAX_BYTE_LEVEL}, got {level}")
 
 
-class TreeAutomorphism:
-    """Canonical tree automorphism: swap word plus its leaf permutation."""
+def _swap_word(level, perm):
+    """The ASCII 0/1 swap word: a depth-j node's bit is bit level-1-j of the
+    image of its first leaf, and those leaves are every 2**(level-j)-th."""
+    return b"".join(perm[::1 << (level - j)].translate(_BIT[level - 1 - j])
+                    for j in range(level))
 
-    __slots__ = ("level", "word", "perm", "rank", "_hash")
+
+def _leaf_perm(level, word):
+    """Leaf x goes to x XOR the swap bits of its ancestors (word of 0/1 ints);
+    a depth-j node's bit is bit level-1-j, handed down to both children."""
+    masks = [0]
+    for j in range(level):
+        bit, block = 1 << (level - 1 - j), word[(1 << j) - 1:(2 << j) - 1]
+        masks = [m | s * bit for m, s in zip(masks, block) for _ in (0, 1)]
+    return bytes(map(int.__xor__, range(1 << level), masks))
+
+
+class TreeAutomorphism:
+    """Canonical tree automorphism: its leaf permutation, ranked by swap word."""
+
+    __slots__ = ("level", "perm", "rank", "_hash")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use TreeAutomorphism.from_word / identity / beta")
@@ -124,14 +123,15 @@ class TreeAutomorphism:
         level = (len(word) + 1).bit_length() - 1
         if len(word) != (1 << level) - 1 or not all(b in (0, 1) for b in word):
             raise ValueError(f"bad swap word {word!r}")
-        return _from_word(level, word)
+        _check_level(level)
+        return _from_perm(level, _leaf_perm(level, word))
 
     @classmethod
     def identity(cls, level: int) -> "TreeAutomorphism":
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
         _check_level(level)
-        return _from_word(level, (0,) * ((1 << level) - 1))
+        return _from_perm(level, _ROTATE[0][:1 << level])
 
     @classmethod
     def beta(cls, level: int, index: int) -> "TreeAutomorphism":
@@ -143,9 +143,8 @@ class TreeAutomorphism:
         if not 1 <= index <= level:
             raise ValueError(f"generator index {index} out of range 1..{level}")
         _check_level(level)
-        word = [0] * ((1 << level) - 1)
-        word[(1 << (level - index)) - 1] = 1
-        return _from_word(level, tuple(word))
+        ident, half = _ROTATE[0][:1 << level], 1 << (index - 1)
+        return _from_perm(level, ident[half:2 * half] + ident[:half] + ident[2 * half:])
 
     @classmethod
     def from_permutation(cls, level: int, images) -> "TreeAutomorphism":
@@ -158,7 +157,14 @@ class TreeAutomorphism:
         if not all(1 <= v <= len(images) for v in images):
             raise NotATreeAutomorphism(
                 f"leaf images leave the labels 1..{len(images)}")
-        return _from_perm(level, bytes(v - 1 for v in images))
+        # the swap word read off any map rebuilds a tree automorphism, which
+        # is the map itself exactly when the map preserves the leaf blocks
+        perm = bytes(v - 1 for v in images)
+        word = _swap_word(level, perm).translate(_ROTATE[-48])
+        if _leaf_perm(level, word) != perm:
+            raise NotATreeAutomorphism(
+                f"leaf images leave their block in a level-{level} subtree")
+        return _from_perm(level, perm)
 
     # group operations
 
@@ -176,16 +182,21 @@ class TreeAutomorphism:
     # views
 
     @property
+    def word(self) -> tuple:
+        """The swap word: one bit per internal node, breadth-first."""
+        return tuple(map(int, self.word_string()))
+
+    @property
     def images(self) -> tuple:
         """The leaf permutation in one-line form on the labels 1..2**level."""
         return tuple(v + 1 for v in self.perm)
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.word)
+        return not self.rank & (self.rank - 1)  # "1" and then only zeros
 
     def word_string(self) -> str:
-        return "".join(map(str, self.word))
+        return bin(self.rank)[3:]  # drop "0b1"
 
     def cycle_string(self) -> str:
         """Nontrivial cycles on the labels 1..2**level, each from its smallest
@@ -223,50 +234,15 @@ def from_perms(level: int, perms) -> tuple:
                         key=_rank))
 
 
-def _intern(level, word, perm):
-    g = object.__new__(TreeAutomorphism)
-    g.level = level
-    g.word = word
-    g.perm = perm
-    g.rank = int(b"1" + bytes(word).translate(_ROTATE[48]), 2)  # ASCII "1" + word
-    g._hash = hash((level, word))
-    _pool[word] = _pool[perm] = g
-    return g
-
-
-def _from_word(level, word):
-    g = _pool.get(word)
-    if g is not None:
-        return g
-    if level == 0:
-        return _intern(0, word, b"\0")
-    _check_level(level)
-    # Subtrees act first, the root swap last: with h = 2**(level-1), a left
-    # leaf i goes to f_L(i) + s*h and a right leaf to f_R(i) + (1-s)*h.
-    s, lw, rw = _split_word(level, word)
-    h = 1 << (level - 1)
-    left = _from_word(level - 1, lw).perm.translate(_ROTATE[s * h])
-    right = _from_word(level - 1, rw).perm.translate(_ROTATE[(1 - s) * h])
-    return _intern(level, word, left + right)
-
-
 def _from_perm(level, perm):
+    """The pooled element of a `perm` the program built itself."""
     g = _pool.get(perm)
-    if g is not None:
-        return g
-    # Each half is rotated onto 0..h-1 before it recurses; a label from the
-    # other half lands outside it, so every map that is not a block-preserving
-    # bijection fails this range check at some depth.
-    if max(perm) >> level:
-        raise NotATreeAutomorphism(
-            f"leaf images leave their block in a level-{level} subtree")
-    if level == 0:
-        return _intern(0, (), perm)
-    h = 1 << (level - 1)
-    s = int(perm[0] >= h)
-    left = _from_perm(level - 1, perm[:h].translate(_ROTATE[-s * h]))
-    right = _from_perm(level - 1, perm[h:].translate(_ROTATE[(s - 1) * h]))
-    return _intern(level, _merge_word(level, s, left.word, right.word), perm)
+    if g is None:
+        g = _pool[perm] = object.__new__(TreeAutomorphism)
+        g.level, g.perm = level, perm
+        g.rank = int(b"1" + _swap_word(level, perm), 2)
+        g._hash = hash(g.rank)
+    return g
 
 
 def identity(level: int) -> TreeAutomorphism:
@@ -316,8 +292,10 @@ def components(g: TreeAutomorphism):
     """Root swap bit and the two subtree automorphisms (left, right)."""
     if g.level == 0:
         raise ValueError("level-0 element has no components")
-    s, lw, rw = _split_word(g.level, g.word)
-    return s, _from_word(g.level - 1, lw), _from_word(g.level - 1, rw)
+    h = 1 << (g.level - 1)
+    s = g.perm[0] >> (g.level - 1)  # the root swap sends leaf 1 across
+    return (s, _from_perm(g.level - 1, g.perm[:h].translate(_ROTATE[-s * h])),
+            _from_perm(g.level - 1, g.perm[h:].translate(_ROTATE[(s - 1) * h])))
 
 
 _element_caches = []  # every cache that holds pool elements
@@ -337,9 +315,14 @@ def full_group(level: int):
         raise LevelTooLarge(
             f"full enumeration is capped at level {MAX_ENUM_LEVEL}; "
             f"level {level} has 2**(2**{level} - 1) elements")
-    n_bits = (1 << level) - 1
-    return tuple(_from_word(level, bits)
-                 for bits in _cartesian((0, 1), repeat=n_bits))
+    if level == 0:
+        return (identity(0),)
+    # a root swap bit over two level-(level-1) halves, each moved onto its block
+    h = 1 << (level - 1)
+    low = [g.perm for g in full_group(level - 1)]
+    high = [p.translate(_ROTATE[h]) for p in low]
+    return from_perms(level, [a + b for left, right in ((low, high), (high, low))
+                              for a in left for b in right])
 
 
 def reset_caches() -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import iterwreath
-from iterwreath import battery, cli, endo
+from iterwreath import AlgebraElement, battery, cli, endo
 from iterwreath.cli import _COMMANDS, _positionals, main
 
 
@@ -98,6 +98,21 @@ def test_power_table_verdict_reads_the_odd_powers(monkeypatch, capsys):
     assert blob["verdict"] == "FAIL"
     assert [p["collapses_to_multiple"] for p in blob["payload"]["powers"]] == [
         True, False, True, False, False]
+
+
+def test_power_table_fails_on_its_verdict_when_products_are_wrong(monkeypatch, capsys):
+    # every algebra product comes out three times too large, so no odd
+    # power from the cube on collapses; the report, not an error, says FAIL
+    original = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda x, y: original(x, y).scaled(3))
+    code, out = run_cli(capsys, "power-table", "1", "5", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert "error" not in blob["payload"]
+    assert [p["collapses_to_multiple"] for p in blob["payload"]["powers"]] == [
+        True, False, False, False, False]
 
 
 @pytest.mark.parametrize("max_k, verdict", [(1, "INFO"), (2, "INFO"), (3, "PASS")])

@@ -543,6 +543,19 @@ def test_opposite_check_adjacent_level_one():
             assert report.left_constants[a][b] == report.right_constants[b][a]
 
 
+@pytest.mark.parametrize("n, k", [(0, 2), (2, 1)])
+def test_opposite_check_catches_a_swapped_right_composition(monkeypatch, n, k):
+    # these algebras are not commutative, so right composition in the order
+    # of left multiplication breaks the transpose and nothing else
+    assert opposite_check(n, k).transpose_ok
+    original = endo._TensorIndex.compose
+    monkeypatch.setattr(endo._TensorIndex, "compose",
+                        lambda self, x, y: original(self, y, x))
+    report = opposite_check(n, k)
+    assert report.closure_ok and not report.transpose_ok
+    assert report.left_constants == report.right_constants
+
+
 def test_opposite_check_guard():
     with pytest.raises(LevelTooLarge):
         opposite_check(3, 1)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from iterwreath import (
     AlgebraElement,
     LevelTooLarge,
+    Orbit,
     SubgroupSpec,
+    VerificationError,
     beta,
     center,
     center_closed_form,
@@ -31,6 +33,7 @@ from iterwreath import (
     predicted_orbit_count_literal,
     right_coset_reps,
 )
+from iterwreath import structure
 from iterwreath.treegroup import reset_caches
 
 from cycle_notation import elem
@@ -211,6 +214,30 @@ def test_orbit_label_census(n, k):
         kinds[label.kind] += 1
     assert kinds["class"] == class_count(n) * chain_size
     assert kinds["beta"] == ((1 << k) - 1) * chain_size
+
+
+def test_orbit_label_short_of_an_element_matches_no_orbit(monkeypatch):
+    real = structure.conjugacy_classes
+
+    def short(n, allow_large=False):
+        decomp = real(n, allow_large)
+        i = next(i for i, o in enumerate(decomp.orbits) if o.size > 1)
+        cls = decomp.orbits[i]
+        orbits = list(decomp.orbits)
+        orbits[i] = Orbit(cls.representative, cls.elements[:-1])
+        return decomp._replace(orbits=tuple(orbits))
+
+    monkeypatch.setattr(structure, "conjugacy_classes", short)
+    with pytest.raises(VerificationError, match="does not match any orbit"):
+        orbit_decomposition(2, 1)
+
+
+def test_orbit_labeled_twice_is_caught(monkeypatch):
+    # every swap-type label built on the identity repeats a class label
+    monkeypatch.setattr(structure, "beta_product",
+                        lambda level, indices: identity(level))
+    with pytest.raises(VerificationError, match="labeled twice"):
+        orbit_decomposition(1, 2)
 
 
 def test_trivial_base_level_edges():

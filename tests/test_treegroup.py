@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -20,7 +21,7 @@ from iterwreath import (
     identity,
     perm_embed,
 )
-from iterwreath.treegroup import MAX_BYTE_LEVEL, _merge_word
+from iterwreath.treegroup import MAX_BYTE_LEVEL
 
 from cycle_notation import elem, images
 
@@ -268,6 +269,55 @@ def test_perm_embed_keeps_cycle_notation():
     assert perm_embed(identity(3)) == identity(4)
     for g in full_group(2):
         assert perm_embed(g).cycle_string() == g.cycle_string()
+
+
+# --- swap words, rebuilt by the wreath recursion --------------------------------
+#
+# The breadth-first word of a level-n tree has one block of 2**j bits per
+# depth j; the left subtree owns the first half of each block.  These
+# references split and merge words recursively, the way the level-n group is
+# built from two level-(n-1) halves and a root bit.
+
+def _split_word(level, word):
+    left, right = [], []
+    for j in range(level - 1):  # the depth-(j+1) block starts at 2**(j+1) - 1
+        half = 1 << j
+        left += word[2 * half - 1:3 * half - 1]
+        right += word[3 * half - 1:4 * half - 1]
+    return word[0], tuple(left), tuple(right)
+
+
+def _merge_word(level, s, left, right):
+    out = [s]
+    for j in range(level - 1):
+        block = slice((1 << j) - 1, (2 << j) - 1)
+        out += left[block] + right[block]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)  # each level-(n-1) half recurs in many level-n words
+def _wreath_images(level, word):
+    """0-based leaf images: subtrees act first, the root swap last, so with
+    h = 2**(level-1) a left leaf i goes to f_L(i) + s*h and a right leaf to
+    f_R(i) + (1-s)*h."""
+    if level == 0:
+        return (0,)
+    s, left, right = _split_word(level, word)
+    h = 1 << (level - 1)
+    return (tuple(v + s * h for v in _wreath_images(level - 1, left))
+            + tuple(v + (1 - s) * h for v in _wreath_images(level - 1, right)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_perm_matches_wreath_recursion_on_the_word(n):
+    words = set()
+    for g in full_group(n):
+        word = g.word
+        assert tuple(g.perm) == _wreath_images(n, word)
+        assert g.word_string() == "".join(map(str, word))
+        assert g.is_identity == (not any(word))
+        words.add(word)
+    assert len(words) == group_order(n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
