@@ -507,14 +507,19 @@ def run(command, params, flags) -> Report:
                   columns.split(), rows, (time.perf_counter() - started) * 1e3)
 
 
+def _arguments(args):
+    """The parsed positionals and flags of one command, by name."""
+    return ({name: getattr(args, name) for name in _positionals(args.command)},
+            {name: getattr(args, name) for name in _flags(args.command)})
+
+
 def dispatch(args) -> Report:
-    params = {name: getattr(args, name) for name in _positionals(args.command)}
+    params, flags = _arguments(args)
     for name, value in params.items():
         if value < 0:
             raise UsageError(f"{args.command}: argument {name} must be >= 0, "
                              f"got {value}")
-    return run(args.command, params,
-               {name: getattr(args, name) for name in _flags(args.command)})
+    return run(args.command, params, flags)
 
 
 def main(argv=None) -> int:
@@ -525,8 +530,9 @@ def main(argv=None) -> int:
         print(f"guard: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
-        report = Report(args.command, {}, "FAIL", {"error": str(exc)},
-                        ["error"], [[str(exc)]])
+        params, flags = _arguments(args)
+        report = Report(args.command, params or flags, "FAIL",
+                        {"error": str(exc)}, ["error"], [[str(exc)]])
     except Exception as exc:  # a fault in the program, not in its input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

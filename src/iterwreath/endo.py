@@ -51,6 +51,8 @@ from .treegroup import (
 )
 
 MAX_POWER_EXPONENT = 8
+# Tensor bases are built one entry per tensor; 2**23 is end-basis 4 1 1.
+MAX_TENSORS = 1 << 23
 
 
 class HomSpaceEmpty(ValueError):
@@ -86,6 +88,10 @@ def _validate_params(n: int, k: int, l: int) -> None:
         raise LevelTooLarge(
             f"tensor basis capped at level {MAX_ENUM_LEVEL}, "
             f"got left level {n + k - l}")
+    size = group_order(n + k - l) * group_order(n) // group_order(n - l)
+    if size > MAX_TENSORS:
+        raise LevelTooLarge(
+            f"tensor basis capped at {MAX_TENSORS} tensors, got {size}")
 
 
 def tensor_basis(n: int, k: int, l: int):

@@ -385,6 +385,7 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
                      for m in range(self.lo, self.hi + 1)
                      for i in range(1, m + 1))
 
+    @element_cache  # coset systems and the Mackey layer share these tuples
     def elements(self, ambient: int):
         """All members at the ambient level, in canonical word order."""
         self.validate(ambient)

@@ -166,7 +166,7 @@ def test_criterion_09_centralizer_bases(capsys):
 def test_criterion_10_mackey(capsys):
     ok = True
     for n in (1, 2, 3):
-        summands = mackey_decomposition(n)  # census re-checked internally
+        summands = mackey_decomposition(n)  # the census is counted here
         order = group_order(n)
         ids = sum(1 for s in summands if s.kind == "Id")
         total = sum(s.bimodule_dimension for s in summands)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import iterwreath
-from iterwreath import AlgebraElement, battery, cli, endo
+from iterwreath import (AlgebraElement, battery, cli, endo, group_order,
+                        mackey, structure)
 from iterwreath.cli import _COMMANDS, _positionals, main
 
 
@@ -142,6 +143,41 @@ def test_mackey_report_schema(capsys):
                for s in summands)
 
 
+def test_mackey_census_is_decided_by_the_report(monkeypatch, capsys):
+    # the identity's shifted-copy coset dropped: one regular summand short
+    original = mackey.double_cosets
+
+    def short(n):
+        system = original(n)
+        assert system.stated_representatives[0].is_identity
+        return system._replace(
+            cosets=system.cosets[1:],
+            stated_representatives=system.stated_representatives[1:])
+
+    monkeypatch.setattr(mackey, "double_cosets", short)
+    code, out = run_cli(capsys, "mackey", "2", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert "error" not in blob["payload"]
+    assert blob["payload"]["id_multiplicity"] == group_order(2) - 1
+
+
+def test_verification_error_report_keeps_its_parameters(monkeypatch, capsys):
+    original = structure.coset_rep_pairs
+    monkeypatch.setattr(structure, "coset_rep_pairs",
+                        lambda base, ambient: original(base, ambient)[1:])
+    code, out = run_cli(capsys, "right-cosets", "1", "1", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["parameters"] == {"n": 1, "l": 1}
+    assert "right cosets: cosets cover" in blob["payload"]["error"]
+    code, out = run_cli(capsys, "right-cosets", "1", "1")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL right-cosets n=1 l=1"
+
+
 def test_enumerate_chain_reads_the_enumerated_levels(monkeypatch, capsys):
     # one level-2 element short: level 3 is no longer twice its square
     original = cli.full_group
@@ -186,6 +222,22 @@ def test_guard_exit_codes(capsys):
     assert main(["tensor-basis", "1", "1", "2"]) == 2
     assert main(["power-table", "1", "99"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["tensor-basis", "end-basis"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tensor_bases_past_the_size_cap_are_refused(monkeypatch, capsys,
+                                                    command, k):
+    # (4, k, k) has 2**(26+k) tensors: refused before any index is built
+    def built(*levels):
+        raise AssertionError(f"tensor index {levels} built")
+
+    monkeypatch.setattr(endo, "_tensor_index", built)
+    assert main([command, "4", str(k), str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 NEGATIVE_ARGUMENTS = [(command, name) for command in _COMMANDS

@@ -9,6 +9,7 @@ from iterwreath import (
     HomSpaceEmpty,
     LevelTooLarge,
     SubgroupSpec,
+    VerificationError,
     beta,
     centralizer_algebra_basis,
     centralizes,
@@ -89,6 +90,22 @@ def test_tensor_basis_rejects_negative_offset():
 def test_tensor_basis_guard():
     with pytest.raises(LevelTooLarge):
         tensor_basis(4, 1, 0)
+
+
+def test_tensor_basis_size_cap_counts_tensors_not_levels():
+    endo._validate_params(4, 1, 1)  # 2**23 tensors, the largest allowed
+    for k in (2, 3, 4):
+        with pytest.raises(LevelTooLarge, match="tensors"):
+            endo._validate_params(4, k, k)
+
+
+def test_tensor_index_short_of_a_rep_is_caught(monkeypatch):
+    original = endo.coset_rep_pairs
+    monkeypatch.setattr(endo, "coset_rep_pairs",
+                        lambda base, ambient: original(base, ambient)[1:])
+    reset_caches()  # the (1, 1, 0) index may be cached
+    with pytest.raises(VerificationError, match="tensor basis size"):
+        tensor_basis(1, 1, 1)
 
 
 def test_coset_rep_reconstruction():
@@ -450,6 +467,13 @@ def test_d_generators_bad_parameters():
         d_generator_table(2, 2)
     with pytest.raises(LevelTooLarge):
         d_generator_table(2, 5)
+
+
+def test_d_generator_that_fails_to_centralize_is_caught(monkeypatch):
+    # a bare root swap is no orbit sum and moves the embedded generator
+    monkeypatch.setattr(endo, "orbit_sum", lambda w, sub: AlgebraElement.of(w))
+    with pytest.raises(VerificationError, match="fails to centralize"):
+        d_generator_table(1, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2])

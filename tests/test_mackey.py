@@ -3,13 +3,16 @@ import pytest
 from iterwreath import (
     LevelTooLarge,
     SubgroupSpec,
+    VerificationError,
     beta,
     conjugate_intersection,
+    double_cosets,
     group_order,
     identity,
     mackey_decomposition,
     perm_embed,
 )
+from iterwreath import mackey
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -89,3 +92,19 @@ def test_decomposition_guard():
         mackey_decomposition(4)
     with pytest.raises(LevelTooLarge):
         conjugate_intersection(4, identity(5))
+
+
+def test_wrong_intersection_is_caught(monkeypatch):
+    monkeypatch.setattr(mackey, "conjugate_intersection",
+                        lambda n, g: (identity(n + 1),))
+    with pytest.raises(VerificationError, match="is not the full subgroup"):
+        mackey_decomposition(1)
+
+
+def test_coset_cut_short_fails_the_dimension_check(monkeypatch):
+    system = double_cosets(1)
+    cosets = system.cosets[:-1] + (system.cosets[-1][:-1],)
+    monkeypatch.setattr(mackey, "double_cosets",
+                        lambda n: system._replace(cosets=cosets))
+    with pytest.raises(VerificationError, match="!= coset size"):
+        mackey_decomposition(1)

@@ -240,6 +240,19 @@ def test_orbit_labeled_twice_is_caught(monkeypatch):
         orbit_decomposition(1, 2)
 
 
+def test_orbit_missed_by_every_label_is_caught(monkeypatch):
+    # one base class dropped: its shifted copies get no label
+    real = structure.conjugacy_classes
+
+    def dropped(n, allow_large=False):
+        decomp = real(n, allow_large)
+        return decomp._replace(orbits=decomp.orbits[:-1])
+
+    monkeypatch.setattr(structure, "conjugacy_classes", dropped)
+    with pytest.raises(VerificationError, match="misses some orbits"):
+        orbit_decomposition(2, 1)
+
+
 def test_trivial_base_level_edges():
     assert right_coset_reps(0, 0).count == 2
     assert double_cosets(0).count == 2
@@ -269,6 +282,17 @@ def test_right_cosets_partition_all_parameter_sets(n, l):
     assert system.count == group_order(ambient) // group_order(n)
     assert all(size == group_order(n) for size in system.sizes)
     assert sum(system.sizes) == group_order(ambient)
+
+
+@pytest.mark.parametrize("edit", [lambda reps: reps[1:],
+                                  lambda reps: reps + reps[:1]],
+                         ids=["rep-dropped", "rep-repeated"])
+def test_cosets_that_are_no_partition_are_caught(monkeypatch, edit):
+    original = structure.coset_rep_pairs
+    monkeypatch.setattr(structure, "coset_rep_pairs",
+                        lambda base, ambient: edit(original(base, ambient)))
+    with pytest.raises(VerificationError, match="right cosets: cosets cover"):
+        right_coset_reps(1, 1)
 
 
 def test_right_cosets_guard():
@@ -301,6 +325,22 @@ def test_double_cosets_built_once_per_level_until_reset():
     assert double_cosets(2) is double_cosets(2)
     reset_caches()
     assert double_cosets.cache_info().currsize == 0
+
+
+def test_shifted_coset_that_is_not_left_stable_is_caught(monkeypatch):
+    # the root swap times the embedded group is a right coset only
+    original = SubgroupSpec.elements
+
+    def with_root_swap(self, ambient):
+        members = original(self, ambient)
+        if self.kind == "hat_chain":
+            members += (beta(ambient, ambient),)
+        return members
+
+    reset_caches()  # double_cosets(1) may be cached
+    monkeypatch.setattr(SubgroupSpec, "elements", with_root_swap)
+    with pytest.raises(VerificationError, match="is not left-stable"):
+        double_cosets(1)
 
 
 def test_double_cosets_guard():
