@@ -123,8 +123,11 @@ class AlgebraElement:
         return AlgebraElement._from_perms(self.level, out)
 
     def commutes_with(self, g: TreeAutomorphism) -> bool:
-        x = AlgebraElement.of(g)
-        return self * x == x * self
+        """self * g == g * self, compared on the `perm` bytes of the term
+        products; the products of one g with distinct terms are distinct."""
+        g_table, terms = table(g.perm), self.terms.items()
+        return ({g.perm.translate(table(h.perm)): c for h, c in terms}
+                == {h.perm.translate(g_table): c for h, c in terms})
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.level != other.level:

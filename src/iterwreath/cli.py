@@ -267,22 +267,23 @@ def _cmd_mackey(n):
 
 
 def _cmd_tensor_basis(n, k, l):
-    basis = endo.tensor_basis(n, k, l)
-    expected = (group_order(n + k - l) * group_order(n)) // group_order(n - l)
+    size = endo.tensor_index(n, k, l).size
+    expected = endo.tensor_count(n + k - l, n, n - l)
     payload = {
         "n": n, "k": k, "l": l,
-        "size": len(basis),
+        "size": size,
         "expected_size": expected,
         "left_level": n + k - l,
         "coset_base_level": n - l,
     }
-    if len(basis) <= MAX_LISTED_ELEMENTS:
+    if size <= MAX_LISTED_ELEMENTS:
+        basis = endo.tensor_basis(n, k, l)
         rows = [[t.left.cycle_string(), t.coset_b.cycle_string(),
                  " ".join(map(str, t.coset_indices)) or "-"] for t in basis]
         payload["elements"] = [tensor_json(t) for t in basis]
     else:
-        rows = _placeholder(len(basis), "tensors", "", "")
-    return len(basis) == expected, payload, rows
+        rows = _placeholder(size, "tensors", "", "")
+    return size == expected, payload, rows
 
 
 def _cmd_end_basis(n, k, l):

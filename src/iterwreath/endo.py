@@ -75,7 +75,13 @@ class TensorBasisElement(namedtuple("TensorBasisElement",
         return self.coset_b * beta_product(self.coset_b.level, self.coset_indices)
 
 
-def _validate_params(n: int, k: int, l: int) -> None:
+def tensor_count(m: int, n: int, b: int) -> int:
+    """|A_m| |A_n| / |A_b|: the number of tensors over the level-b group."""
+    return group_order(m) * group_order(n) // group_order(b)
+
+
+def tensor_index(n: int, k: int, l: int) -> _TensorIndex:
+    """The integer tensors of the (n, k, l) basis, once the parameters pass."""
     if n < 0 or k < 0 or l < 0:
         raise ValueError(f"parameters must be >= 0, got {(n, k, l)}")
     if l > n:
@@ -88,16 +94,16 @@ def _validate_params(n: int, k: int, l: int) -> None:
         raise LevelTooLarge(
             f"tensor basis capped at level {MAX_ENUM_LEVEL}, "
             f"got left level {n + k - l}")
-    size = group_order(n + k - l) * group_order(n) // group_order(n - l)
+    size = tensor_count(n + k - l, n, n - l)
     if size > MAX_TENSORS:
         raise LevelTooLarge(
             f"tensor basis capped at {MAX_TENSORS} tensors, got {size}")
+    return _tensor_index(n + k - l, n, n - l)
 
 
 def tensor_basis(n: int, k: int, l: int):
     """All pairs (left element, coset representative); the tensor basis."""
-    _validate_params(n, k, l)
-    index = _tensor_index(n + k - l, n, n - l)
+    index = tensor_index(n, k, l)
     return tuple(map(index.tensor, range(index.size)))
 
 
@@ -110,7 +116,7 @@ class _TensorIndex:
         self.pairs = {}
         self.rep_index = {rep[:2]: i for i, rep in enumerate(self.reps)}
         self.size = len(self.lefts) * len(self.reps)
-        expected = group_order(m) * group_order(n) // group_order(b)
+        expected = tensor_count(m, n, b)
         if self.size != expected:
             raise VerificationError(
                 f"tensor basis size {self.size}, expected {expected}")
@@ -263,9 +269,7 @@ def _generator_table(index: _TensorIndex, gens):
 def end_ind_res_basis(n: int, k: int, l: int) -> EndBasis:
     """Orbit sums of the tensor basis under the embedded level-(n-l) group,
     from a union-find over integer tensors."""
-    _validate_params(n, k, l)
-    m = n + k - l
-    index = _tensor_index(m, n, n - l)
+    index, m = tensor_index(n, k, l), n + k - l
     gens = SubgroupSpec.embedded(n - l).generators(n)
     width, parent = len(index.reps), list(range(index.size))
 

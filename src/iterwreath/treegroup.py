@@ -8,6 +8,8 @@ word.  The *swap word* has one bit per internal node, breadth-first from the
 root, bit 1 meaning the node's two subtrees are exchanged; it is read off
 `perm` (a node's bit is a bit of its first leaf's image), and `from_word` is
 the one way back: leaf x goes to x XOR the swap bits of its ancestors.
+`full_group` alone skips the read: it builds each element from two halves
+of the level below and puts its rank together from theirs.
 
 `perm` is the only permutation form: `images` is its 1-based view,
 `cycle_string` reads the cycles off it, and `from_permutation` takes 1-based
@@ -234,13 +236,14 @@ def from_perms(level: int, perms) -> tuple:
                         key=_rank))
 
 
-def _from_perm(level, perm):
-    """The pooled element of a `perm` the program built itself."""
+def _from_perm(level, perm, rank=None):
+    """The pooled element of a `perm` the program built itself; `rank`, when
+    given, is the rank that its construction already knows."""
     g = _pool.get(perm)
     if g is None:
         g = _pool[perm] = object.__new__(TreeAutomorphism)
         g.level, g.perm = level, perm
-        g.rank = int(b"1" + _swap_word(level, perm), 2)
+        g.rank = rank or int(b"1" + _swap_word(level, perm), 2)
         g._hash = hash(g.rank)
     return g
 
@@ -310,19 +313,38 @@ def element_cache(fn):
 
 @element_cache
 def full_group(level: int):
-    """All elements at a level, in lexicographic swap-word order."""
+    """All elements at a level, in lexicographic swap-word order.
+
+    Each is a root swap bit s over two level-(level-1) halves L and R, moved
+    onto their blocks.  Its swap word is s, then at each depth d >= 1 the
+    depth-(d-1) bits of L and then those of R, so its rank is put together
+    from the halves' ranks; no swap word is read off the leaf images.
+    """
     if level > MAX_ENUM_LEVEL:
         raise LevelTooLarge(
             f"full enumeration is capped at level {MAX_ENUM_LEVEL}; "
             f"level {level} has 2**(2**{level} - 1) elements")
     if level == 0:
         return (identity(0),)
-    # a root swap bit over two level-(level-1) halves, each moved onto its block
-    h = 1 << (level - 1)
-    low = [g.perm for g in full_group(level - 1)]
+    h, top = 1 << (level - 1), (1 << level) - 1
+    halves = full_group(level - 1)
+    low = [g.perm for g in halves]
     high = [p.translate(_ROTATE[h]) for p in low]
-    return from_perms(level, [a + b for left, right in ((low, high), (high, low))
-                              for a in left for b in right])
+    # a half's word spread over its parent's word below the root bit: its
+    # depth-d block fills the left (L) or right (R) half of the depth-(d+1) one
+    blocks = [(slice((1 << d) - 1, (2 << d) - 1), "0" * (1 << d))
+              for d in range(level - 1)]
+    words = [g.word_string() for g in halves]
+    spread_left = [int("0" + "".join(w[c] + z for c, z in blocks), 2) for w in words]
+    spread_right = [int("0" + "".join(z + w[c] for c, z in blocks), 2) for w in words]
+    # every word occurs once, so an element's word is its place in the group
+    group = [None] * (1 << top)
+    for s, (lefts, rights) in enumerate(((low, high), (high, low))):
+        for a, x in zip(lefts, spread_left):
+            x |= s << (top - 1)
+            for b, y in zip(rights, spread_right):
+                group[x | y] = _from_perm(level, a + b, (1 << top) | x | y)
+    return tuple(group)
 
 
 def reset_caches() -> None:

@@ -10,6 +10,7 @@ from iterwreath import (
     beta,
     centralizes,
     class_sum,
+    embed_to,
     full_group,
     identity,
     orbit,
@@ -20,9 +21,15 @@ from iterwreath.treegroup import reset_caches
 from cycle_notation import elem
 
 
+def commutes(x, t):
+    """x * t == t * x as algebra products, interned term by term."""
+    t = AlgebraElement.of(t)
+    return x * t == t * x
+
+
 def centralizes_exhaustive(x, sub):
     """Commutes with every element of the subgroup: the definition itself."""
-    return all(x.commutes_with(t) for t in sub.elements(x.level))
+    return all(commutes(x, t) for t in sub.elements(x.level))
 
 
 def root_orbit_sum(n):
@@ -266,6 +273,17 @@ def test_centralizes_examples():
                        SubgroupSpec.embedded(1))
     assert not centralizes(AlgebraElement.of(elem(2, "(1 3)(2 4)")),
                            SubgroupSpec.embedded(1))
+
+
+@pytest.mark.parametrize("other, missed", [
+    ("(1 3)(2 4)(5 7)(6 8)", 1), ("(3 4)(7 8)", 2), ("(7 8)", 3)])
+def test_centralizes_fails_on_the_one_generator_missed(other, missed):
+    sub = SubgroupSpec.embedded(3)
+    x = AlgebraElement(4, {identity(4): 1, embed_to(elem(3, other), 4): 2})
+    gens = sub.generators(4)
+    assert [x.commutes_with(t) for t in gens] == [i != missed for i in (1, 2, 3)]
+    assert [x.commutes_with(t) for t in gens] == [commutes(x, t) for t in gens]
+    assert not centralizes(x, sub)
 
 
 def test_generator_test_matches_exhaustive_definition():

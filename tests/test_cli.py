@@ -240,6 +240,17 @@ def test_tensor_bases_past_the_size_cap_are_refused(monkeypatch, capsys,
     assert len(captured.err.splitlines()) == 1
 
 
+def test_tensor_basis_past_the_listing_cap_builds_no_tensor(monkeypatch, capsys):
+    def built(index, t):
+        raise AssertionError(f"tensor {t} built")
+
+    monkeypatch.setattr(endo._TensorIndex, "tensor", built)
+    code, out = run_cli(capsys, "tensor-basis", "4", "1", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["size"] == payload["expected_size"] == 1 << 23
+
+
 NEGATIVE_ARGUMENTS = [(command, name) for command in _COMMANDS
                       for name in _positionals(command)]
 

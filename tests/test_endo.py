@@ -93,10 +93,10 @@ def test_tensor_basis_guard():
 
 
 def test_tensor_basis_size_cap_counts_tensors_not_levels():
-    endo._validate_params(4, 1, 1)  # 2**23 tensors, the largest allowed
+    assert endo.tensor_index(4, 1, 1).size == 1 << 23  # the largest allowed
     for k in (2, 3, 4):
         with pytest.raises(LevelTooLarge, match="tensors"):
-            endo._validate_params(4, k, k)
+            endo.tensor_index(4, k, k)
 
 
 def test_tensor_index_short_of_a_rep_is_caught(monkeypatch):

@@ -21,7 +21,8 @@ from iterwreath import (
     identity,
     perm_embed,
 )
-from iterwreath.treegroup import MAX_BYTE_LEVEL
+from iterwreath import treegroup
+from iterwreath.treegroup import MAX_BYTE_LEVEL, _swap_word, reset_caches
 
 from cycle_notation import elem, images
 
@@ -387,6 +388,35 @@ def test_full_enumeration_is_sorted_and_unique():
         assert list(group) == sorted(group)
         assert list(group) == sorted(group, key=lambda g: g.word)
         assert len(set(group)) == len(group)
+
+
+def test_full_enumeration_ranks_agree_with_the_swap_words_read_off():
+    reset_caches()
+    for n in range(5):
+        group = full_group(n)
+        assert [g.rank for g in group] == [
+            int(b"1" + _swap_word(n, g.perm), 2) for g in group]
+        assert all(a.rank < b.rank for a, b in zip(group, group[1:]))
+
+
+def test_full_enumeration_keeps_the_elements_interned_before_it():
+    reset_caches()
+    before = [identity(4), *(beta(4, i) for i in range(1, 5)),
+              TreeAutomorphism.from_word("101100111000101")]
+    group = full_group(4)
+    for g in before:
+        assert group[g.rank - len(group)] is g
+
+
+def test_full_enumeration_reads_no_swap_word_off_the_leaf_images(monkeypatch):
+    reset_caches()
+    full_group(3)
+
+    def read(level, perm):
+        raise AssertionError(f"swap word of a level-{level} perm read")
+
+    monkeypatch.setattr(treegroup, "_swap_word", read)
+    assert len(full_group(4)) == group_order(4)
 
 
 def test_full_enumeration_guard():
