@@ -87,11 +87,11 @@ def _placeholder(count, noun, *rest):
 def _cmd_enumerate(n):
     elements = full_group(n)
     expected = group_order(n)
-    sizes = [len(full_group(m)) for m in range(n + 1)]
+    sizes = [len(set(full_group(m))) for m in range(n + 1)]  # distinct
     chain_ok = all(b == 2 * a * a for a, b in zip(sizes, sizes[1:]))
     payload = {
         "level": n,
-        "size": len(elements),
+        "size": sizes[-1],
         "expected_size": expected,
         "doubling_square_chain": chain_ok,
     }
@@ -100,7 +100,7 @@ def _cmd_enumerate(n):
         rows = [[g.word_string(), g.cycle_string()] for g in elements]
     else:
         rows = _placeholder(len(elements), "elements", "")
-    return len(elements) == expected and chain_ok, payload, rows
+    return sizes[-1] == expected and chain_ok, payload, rows
 
 
 def _cmd_center(n):
@@ -161,8 +161,7 @@ def _cmd_double_cosets(n):
     system = structure.double_cosets(n)
     order = group_order(n)
     expected_sizes = sorted([order] * order + [order * order])
-    ok = (system.count == order + 1
-          and sorted(system.sizes) == expected_sizes)
+    ok = sorted(system.sizes) == expected_sizes  # so is the count
     payload = {
         "base_level": n,
         "ambient_level": system.ambient_level,
@@ -206,9 +205,8 @@ def _cmd_centralizer_basis(n, k, allow_large=False):
     basis = structure.centralizer_algebra_basis(n, k, allow_large=allow_large)
     sub = SubgroupSpec.embedded(n)
     all_central = all(algebra.centralizes(v, sub) for v in basis)
-    closure = None
-    if (n, k) == (1, 1):
-        closure = structure.closure_failure(basis) is None
+    closure = all(c is not None for row in structure.algebra_constants(basis)
+                  for c in row) if (n, k) == (1, 1) else None
     payload = {
         "base_level": n,
         "offset": k,
@@ -267,12 +265,12 @@ def _cmd_mackey(n):
 
 
 def _cmd_tensor_basis(n, k, l):
+    # the index raises VerificationError unless its size is the expected one
     size = endo.tensor_index(n, k, l).size
-    expected = endo.tensor_count(n + k - l, n, n - l)
     payload = {
         "n": n, "k": k, "l": l,
         "size": size,
-        "expected_size": expected,
+        "expected_size": endo.tensor_count(n + k - l, n, n - l),
         "left_level": n + k - l,
         "coset_base_level": n - l,
     }
@@ -283,7 +281,7 @@ def _cmd_tensor_basis(n, k, l):
         payload["elements"] = [tensor_json(t) for t in basis]
     else:
         rows = _placeholder(size, "tensors", "", "")
-    return size == expected, payload, rows
+    return True, payload, rows
 
 
 def _cmd_end_basis(n, k, l):
@@ -296,47 +294,43 @@ def _cmd_end_basis(n, k, l):
     }
     ok = eb.index_change_count == 0  # the acting group fixes swap indices
     if l == 0:
-        reference = tuple(structure.centralizer_algebra_basis(n, k))
+        reference = structure.centralizer_algebra_basis(n, k)
         payload["matches_centralizer_basis"] = tuple(eb.vectors) == reference
         ok = ok and payload["matches_centralizer_basis"]
-    elif eb.dimension <= MAX_LISTED_VECTORS:
-        # computed and reported, never asserted
-        closed, _ = endo.end_basis_closure(eb)
-        payload["products_within_span"] = closed
-    rows = []
-    if eb.dimension <= MAX_LISTED_VECTORS:
-        vectors_json = []
-        for i, vec in enumerate(eb.vectors):
-            if l == 0:
-                vectors_json.append(algebra_json(vec))
-                rows.append([i, len(vec.terms), algebra_text(vec)])
-            else:
-                vectors_json.append([{**tensor_json(t), "coefficient": "1/1"}
-                                     for t in vec])
-                text = " + ".join(
-                    f"{t.left.cycle_string()}(x){t.coset_rep().cycle_string()}"
-                    for t in vec)
-                rows.append([i, len(vec), text])
-        payload["vectors"] = vectors_json
-    else:
-        rows = _placeholder(eb.dimension, "vectors", "", "")
+    if eb.dimension > MAX_LISTED_VECTORS:
+        return ok, payload, _placeholder(eb.dimension, "vectors", "", "")
+    if l > 0:
+        payload["products_within_span"], _ = endo.end_basis_closure(eb)
+        ok = ok and payload["products_within_span"]
+    rows, payload["vectors"] = [], []
+    for i, vec in enumerate(eb.vectors):
+        if l == 0:
+            payload["vectors"].append(algebra_json(vec))
+            rows.append([i, len(vec.terms), algebra_text(vec)])
+        else:
+            payload["vectors"].append([{**tensor_json(t), "coefficient": "1/1"}
+                                       for t in vec])
+            text = " + ".join(
+                f"{t.left.cycle_string()}(x){t.coset_rep().cycle_string()}"
+                for t in vec)
+            rows.append([i, len(vec), text])
     return ok, payload, rows
 
 
 def _cmd_d_gens(n, m):
     table = endo.d_generator_table(n, m)
-    swap_gens = [elt for label, elt in table if label.startswith("b")]
+    swaps = sum(label.startswith("b") for label, _ in table)
     orbit_single = [elt for label, elt in table if label == f"o(b{n + 1})"]
-    shift_zero = [elt for label, elt in table
-                  if label.startswith("b") and label.endswith("^(0)")]
-    commute_ok = all(o * g == g * o
-                     for o in orbit_single for g in shift_zero)
+    shift_zero = [g for label, elt in table
+                  if label.startswith("b") and label.endswith("^(0)")
+                  for g in elt.terms]  # each a single group element
+    commute_ok = all(o.commutes_with(g) for o in orbit_single for g in shift_zero)
     payload = {
         "base_level": n,
         "ambient_level": m,
         "count": len(table),
-        "swap_generators": len(swap_gens),
-        "orbit_sums": len(table) - len(swap_gens),
+        "swap_generators": swaps,
+        "orbit_sums": len(table) - swaps,
         "orbit_sum_commutes_with_shifted_gens": commute_ok,
         "generators": [{"label": label, "element": algebra_json(elt)}
                        for label, elt in table],
@@ -383,7 +377,7 @@ def _cmd_opposite_check(n, k):
             [[[frac_str(c) for c in cell] for cell in row] for row in table]
             for table in (report.left_constants, report.right_constants))
     rows = [[report.dimension, report.closure_ok, report.transpose_ok]]
-    return report.closure_ok and report.transpose_ok, payload, rows
+    return report.transpose_ok, payload, rows  # which needs closure_ok
 
 
 def _cmd_verify_all(seed, allow_large):

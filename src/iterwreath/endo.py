@@ -27,11 +27,10 @@ from itertools import combinations
 from .algebra import AlgebraElement, centralizes, orbit_sum
 from .structure import (
     VerificationError,
+    algebra_constants,
     centralizer_algebra_basis,
-    closure_failure,
     coset_rep_pairs,
-    expand_in_orbit_basis,
-    orbit_index,
+    structure_constants,
 )
 from .treegroup import (
     MAX_ENUM_LEVEL,
@@ -72,7 +71,9 @@ class TensorBasisElement(namedtuple("TensorBasisElement",
     __slots__ = ()
 
     def coset_rep(self) -> TreeAutomorphism:
-        return self.coset_b * beta_product(self.coset_b.level, self.coset_indices)
+        """The representative, as the cached tensor index holds it."""
+        index = _tensor_index(self.left.level, self.coset_b.level, self.base_level)
+        return index.reps[index.rep_index[self.coset_b, self.coset_indices]][2]
 
 
 def tensor_count(m: int, n: int, b: int) -> int:
@@ -241,21 +242,20 @@ def compose_tensor_sums(x: dict, y: dict) -> dict:
 def end_basis_closure(basis: "EndBasis"):
     """Whether products of the orbit-sum vectors stay inside their span.
 
-    Expands every pairwise composition in the orbit-sum basis.  Returns
-    (closed, first_failure); the result is reported, never asserted, since
-    no closed description of these products is available at l > 0.
+    Algebra products at l = 0, compositions otherwise, read until the first
+    that leaves it: (closed, its (i, j) in row-major order, or None).
     """
     if basis.l == 0:
-        failure = closure_failure(basis.vectors)
-        return failure is None, failure
-    n, m = basis.n, basis.n + basis.k - basis.l
-    tensors = _tensor_index(m, n, n - basis.l)
-    sums = [dict.fromkeys(map(tensors.number, vec), 1) for vec in basis.vectors]
-    index = orbit_index(sums)
-    for i, a in enumerate(sums):
-        for j, b in enumerate(sums):
-            if expand_in_orbit_basis(tensors.compose(a, b), index,
-                                     basis.dimension) is None:
+        rows = algebra_constants(basis.vectors)
+    else:
+        n = basis.n
+        tensors = _tensor_index(n + basis.k - basis.l, n, n - basis.l)
+        rows = structure_constants(
+            [dict.fromkeys(map(tensors.number, vec), 1) for vec in basis.vectors],
+            tensors.compose)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if cell is None:
                 return False, (i, j)
     return True, None
 
@@ -372,16 +372,10 @@ def opposite_check(n: int, k: int) -> OppositeReport:
         raise LevelTooLarge(
             f"opposite check capped at ambient level {MAX_ENUM_LEVEL - 1}")
     basis = centralizer_algebra_basis(n, k)
-    dim = len(basis)
-    index = orbit_index(v.terms for v in basis)
-    left = tuple(tuple(expand_in_orbit_basis((a * b).terms, index, dim)
-                       for b in basis) for a in basis)
     tensors = _tensor_index(n + k, n, n)
     sums = [{tensors.encode(g, 0): c for g, c in v.terms.items()} for v in basis]
-    tensor_orbits = orbit_index(sums)
-    right = tuple(tuple(expand_in_orbit_basis(tensors.compose(a, b),
-                                              tensor_orbits, dim)
-                        for b in sums) for a in sums)
+    left = tuple(map(tuple, algebra_constants(basis)))
+    right = tuple(map(tuple, structure_constants(sums, tensors.compose)))
     closure_ok = all(c is not None for row in left + right for c in row)
     transpose_ok = closure_ok and left == tuple(zip(*right))
-    return OppositeReport(dim, closure_ok, transpose_ok, left, right)
+    return OppositeReport(len(basis), closure_ok, transpose_ok, left, right)

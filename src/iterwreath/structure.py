@@ -234,9 +234,9 @@ def expand_in_orbit_basis(terms, index, dim: int):
     """Coefficients of `terms` on the `dim` orbit sums numbered by `index`.
 
     `terms` maps keys to nonzero coefficients (an AlgebraElement's terms or
-    a tensor formal sum) and `index` is the basis's orbit_index, built once
-    per basis.  One pass; None if a key lies in no orbit, a coefficient is
-    not constant on its orbit, or an orbit is only partly covered.
+    a tensor formal sum) and `index` is the basis's orbit_index.  One pass;
+    None if a key lies in no orbit, a coefficient is not constant on its
+    orbit, or an orbit is only partly covered.
     """
     coeffs = [0] * dim
     missing = {}
@@ -249,17 +249,26 @@ def expand_in_orbit_basis(terms, index, dim: int):
     return None if any(missing.values()) else tuple(coeffs)
 
 
-def closure_failure(basis):
-    """First pair (a, b) of basis vectors whose product a*b leaves the span.
+def structure_constants(vectors, compose):
+    """Expansions of compose(a, b) over ordered pairs of orbit-sum vectors.
 
-    None means every pairwise product expands in the orbit-sum basis.
+    `vectors` are key->coefficient dicts with disjoint supports.  Rows and
+    their cells are lazy: a product is made only when its cell is read, and
+    a cell is None where the product leaves the span.
     """
-    index, dim = orbit_index(v.terms for v in basis), len(basis)
-    for a in basis:
-        for b in basis:
-            if expand_in_orbit_basis((a * b).terms, index, dim) is None:
-                return a, b
-    return None
+    index, dim = orbit_index(vectors), len(vectors)
+
+    def row(a):
+        return (expand_in_orbit_basis(compose(a, b), index, dim) for b in vectors)
+
+    return map(row, vectors)
+
+
+def algebra_constants(basis):
+    """structure_constants of algebra orbit sums under the algebra product."""
+    vector = {id(v.terms): v for v in basis}  # keyed by its own terms dict
+    return structure_constants([v.terms for v in basis], lambda x, y: (
+        vector[id(x)] * vector[id(y)]).terms)
 
 
 # --- coset systems -----------------------------------------------------------

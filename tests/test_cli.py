@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import iterwreath
-from iterwreath import (AlgebraElement, battery, cli, endo, group_order,
+from iterwreath import (AlgebraElement, battery, beta, cli, endo, group_order,
                         mackey, structure)
 from iterwreath.cli import _COMMANDS, _positionals, main
+from iterwreath.treegroup import reset_caches
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +196,24 @@ def test_enumerate_chain_reads_the_enumerated_levels(monkeypatch, capsys):
     assert blob["payload"]["doubling_square_chain"] is False
 
 
+def test_enumerate_counts_a_repeated_element_once(monkeypatch, capsys):
+    # one level-2 element listed in place of another: still 8 entries, but
+    # only 7 distinct elements, so neither the order nor the chain holds
+    original = cli.full_group
+
+    def repeated(level):
+        group = original(level)
+        return group[:-1] + group[:1] if level == 2 else group
+
+    monkeypatch.setattr(cli, "full_group", repeated)
+    code, out = run_cli(capsys, "enumerate", "2", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["size"] == 7
+    assert blob["payload"]["doubling_square_chain"] is False
+
+
 # the verify-all check that reads each command's report
 SWEPT_BY = {"enumerate": battery._check_group_sizes,
             "power-table": battery._check_power_identity,
@@ -238,6 +257,21 @@ def test_tensor_bases_past_the_size_cap_are_refused(monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("guard: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["tensor-basis", "1", "1", "1"],
+                                  ["end-basis", "2", "2", "1"]])
+def test_short_transversal_fails_the_tensor_index(monkeypatch, capsys, argv):
+    # the index's size check is the one place the tensor count is decided
+    original = endo.coset_rep_pairs
+    monkeypatch.setattr(endo, "coset_rep_pairs",
+                        lambda base, ambient: original(base, ambient)[1:])
+    reset_caches()  # the index may be cached
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["error"].startswith("tensor basis size")
 
 
 def test_tensor_basis_past_the_listing_cap_builds_no_tensor(monkeypatch, capsys):
@@ -386,6 +420,43 @@ def test_end_basis_index_change_fails_the_verdict(monkeypatch, capsys):
     blob = json.loads(out)
     assert blob["verdict"] == "FAIL"
     assert blob["payload"]["index_change_count"] > 0
+
+
+def test_end_basis_closure_failure_fails_the_verdict(monkeypatch, capsys):
+    # two adjacent orbits merged: their sum is no longer closed under
+    # composition, and only the closure claim can see it
+    original = endo.end_ind_res_basis
+
+    def merged(n, k, l):
+        basis = original(n, k, l)
+        vectors = [basis.vectors[0] + basis.vectors[1], *basis.vectors[2:]]
+        return basis._replace(vectors=vectors, dimension=len(vectors))
+
+    monkeypatch.setattr(endo, "end_ind_res_basis", merged)
+    code, out = run_cli(capsys, "end-basis", "2", "1", "1", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["products_within_span"] is False
+    assert blob["payload"]["index_change_count"] == 0
+
+
+def test_d_gens_commutation_failure_fails_the_verdict(monkeypatch, capsys):
+    # the root swap alone in place of its orbit sum does not commute with
+    # the shifted generator (3 4)
+    original = endo.d_generator_table
+
+    def replaced(n, m):
+        return tuple((label, AlgebraElement.of(beta(m, m)))
+                     if label == f"o(b{n + 1})" else (label, elt)
+                     for label, elt in original(n, m))
+
+    monkeypatch.setattr(endo, "d_generator_table", replaced)
+    code, out = run_cli(capsys, "d-gens", "1", "2", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["orbit_sum_commutes_with_shifted_gens"] is False
 
 
 def test_verify_all_seed_changes_nothing_but_the_seed():

@@ -108,6 +108,19 @@ def test_tensor_index_short_of_a_rep_is_caught(monkeypatch):
         tensor_basis(1, 1, 1)
 
 
+def test_coset_rep_reads_the_index(monkeypatch):
+    # the representative is the one the tensor index stores, not a product
+    # rebuilt per call
+    index = endo.tensor_index(2, 1, 1)
+
+    def rebuilt(*args):
+        raise AssertionError("beta_product called")
+
+    monkeypatch.setattr(endo, "beta_product", rebuilt)
+    for t in tensor_basis(2, 1, 1):
+        assert t.coset_rep() is index.reps[index.number(t) % len(index.reps)][2]
+
+
 def test_coset_rep_reconstruction():
     for t in tensor_basis(2, 1, 1):
         rep = t.coset_rep()
@@ -361,7 +374,7 @@ def test_composition_matches_convolution_without_restriction():
 
 @pytest.mark.parametrize("n,k,l", [(1, 1, 1), (2, 1, 1), (1, 2, 1)])
 def test_end_basis_closure_reported(n, k, l):
-    # recorded observation, not a claimed identity: the pairwise
+    # the claim the end-basis verdict asserts at l > 0: the pairwise
     # compositions of the orbit-sum vectors land in their span
     from iterwreath.endo import end_basis_closure
 
