@@ -374,7 +374,8 @@ def _cmd_opposite_check(n, k):
     }
     if report.dimension <= MAX_TABLE_DIMENSION and report.closure_ok:
         payload["left_constants"], payload["right_constants"] = (
-            [[[frac_str(c) for c in cell] for cell in row] for row in table]
+            [[[frac_str(cell.get(o, 0)) for o in range(report.dimension)]
+              for cell in row] for row in table]
             for table in (report.left_constants, report.right_constants))
     rows = [[report.dimension, report.closure_ok, report.transpose_ok]]
     return report.transpose_ok, payload, rows  # which needs closure_ok

@@ -38,6 +38,7 @@ from .treegroup import (
     SubgroupSpec,
     TreeAutomorphism,
     UsageError,
+    _pool,
     beta,
     beta_product,
     element_cache,
@@ -47,6 +48,7 @@ from .treegroup import (
     group_order,
     hat_embed,
     identity,
+    table,
 )
 
 MAX_POWER_EXPONENT = 8
@@ -145,17 +147,21 @@ class _TensorIndex:
             self.pairs[r1, r2] = self.split(self.reps[r1][2] * self.reps[r2][2])
         return self.pairs[r1, r2]
 
-    def compose(self, x: dict, y: dict) -> dict:
-        """compose_tensor_sums on integer tensors."""
-        out: dict = {}
+    def times(self, t1: int, ts) -> list:
+        """The tensor of t1 after t2 for each t2 in ts: (a2 * a1 * y) (x) rep
+        where rep r1 * rep r2 = y * rep, read off `perm` bytes and the pool."""
         width, lefts = len(self.reps), self.lefts
-        for t2, d in y.items():
-            for t1, c in x.items():
-                rep, crossed = self.product(t1 % width, t2 % width)
-                key = self.encode(
-                    lefts[t2 // width] * lefts[t1 // width] * crossed, rep)
-                out[key] = out.get(key, 0) + c * d
-        return {t: c for t, c in out.items() if c}
+        left, r1 = divmod(t1, width)
+        a1_table, offset = table(lefts[left].perm), len(lefts)
+        crossed = [(rep, y.perm.translate(a1_table))  # a1 * y, per rep r2
+                   for rep, y in (self.product(r1, r2) for r2 in range(width))]
+        out = []
+        for t2 in ts:
+            left, r2 = divmod(t2, width)
+            rep, perm = crossed[r2]
+            product = _pool[perm.translate(table(lefts[left].perm))]
+            out.append((product.rank - offset) * width + rep)
+        return out
 
 
 # one index per level triple, shared by every caller, like full_group
@@ -234,9 +240,12 @@ def compose_tensor_sums(x: dict, y: dict) -> dict:
     if t is None:
         return {}
     index = _tensor_index(t.left.level, t.coset_b.level, t.base_level)
-    out = index.compose({index.number(s): c for s, c in x.items()},
-                        {index.number(s): c for s, c in y.items()})
-    return {index.tensor(s): c for s, c in out.items()}
+    out: dict = {}
+    ys = {index.number(s): d for s, d in y.items()}
+    for s, c in x.items():
+        for key, d in zip(index.times(index.number(s), ys), ys.values()):
+            out[key] = out.get(key, 0) + c * d
+    return {index.tensor(s): c for s, c in out.items() if c}
 
 
 def end_basis_closure(basis: "EndBasis"):
@@ -251,8 +260,7 @@ def end_basis_closure(basis: "EndBasis"):
         n = basis.n
         tensors = _tensor_index(n + basis.k - basis.l, n, n - basis.l)
         rows = structure_constants(
-            [dict.fromkeys(map(tensors.number, vec), 1) for vec in basis.vectors],
-            tensors.compose)
+            [list(map(tensors.number, vec)) for vec in basis.vectors], tensors.times)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if cell is None:
@@ -316,20 +324,20 @@ def d_generator_table(n: int, m: int):
     if m > MAX_ENUM_LEVEL:
         raise LevelTooLarge(f"generator table capped at level {MAX_ENUM_LEVEL}")
     sub = SubgroupSpec.embedded(n)
-    table = []
+    gens = []
     for shift in range(m - n):
         for i in range(1, n + shift + 1):
             elt = AlgebraElement.of(embed_to(hat_embed(beta(n + shift, i)), m))
-            table.append((f"b{i}^({shift})", elt))
+            gens.append((f"b{i}^({shift})", elt))
     for size in range(1, m - n + 1):
         for indices in combinations(range(n + 1, m + 1), size):
             w = beta_product(m, indices).inverse()
             label = "o(" + " ".join(f"b{j}" for j in reversed(indices)) + ")"
-            table.append((label, orbit_sum(w, sub)))
-    for label, elt in table:
+            gens.append((label, orbit_sum(w, sub)))
+    for label, elt in gens:
         if not centralizes(elt, sub):
             raise VerificationError(f"generator {label} fails to centralize")
-    return tuple(table)
+    return tuple(gens)
 
 
 def power_table(n: int, max_k: int):
@@ -353,7 +361,11 @@ def power_table(n: int, max_k: int):
 
 class OppositeReport(namedtuple("OppositeReport", "dimension closure_ok "
                                  "transpose_ok left_constants right_constants")):
-    """The constants of composition by left and by right multiplication."""
+    """The constants of composition by left and by right multiplication.
+
+    Row i, cell j of each table is the sparse {orbit: coefficient} expansion
+    of the product of orbit sums i and j, or None where it leaves the span.
+    """
 
     __slots__ = ()
 
@@ -364,18 +376,19 @@ def opposite_check(n: int, k: int) -> OppositeReport:
     Natural transformations of iterated restriction compose by multiplying on
     the left, those of iterated induction on the right; on the shared
     orbit-sum basis the two tables must be transposes of each other.  The
-    left table multiplies algebra elements; the right one composes the same
-    sums as tensors of the l = 0 bimodule, whose composition x after y
-    multiplies y's elements by x's, so no product is read twice.
+    left table multiplies the elements' `perm` bytes; the right one composes
+    the same sums as tensors of the l = 0 bimodule (`_TensorIndex.times`),
+    whose composition x after y multiplies y's elements by x's, so no
+    product is read twice.
     """
     if n + k > MAX_ENUM_LEVEL - 1:
         raise LevelTooLarge(
             f"opposite check capped at ambient level {MAX_ENUM_LEVEL - 1}")
     basis = centralizer_algebra_basis(n, k)
     tensors = _tensor_index(n + k, n, n)
-    sums = [{tensors.encode(g, 0): c for g, c in v.terms.items()} for v in basis]
+    sums = [[tensors.encode(g, 0) for g in v.terms] for v in basis]
     left = tuple(map(tuple, algebra_constants(basis)))
-    right = tuple(map(tuple, structure_constants(sums, tensors.compose)))
+    right = tuple(map(tuple, structure_constants(sums, tensors.times)))
     closure_ok = all(c is not None for row in left + right for c in row)
     transpose_ok = closure_ok and left == tuple(zip(*right))
     return OppositeReport(len(basis), closure_ok, transpose_ok, left, right)

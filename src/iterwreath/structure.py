@@ -7,7 +7,7 @@ decomposition built here re-checks its own partition properties.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -225,7 +225,8 @@ def centralizer_algebra_basis(n: int, k: int, allow_large: bool = False):
 
 
 def orbit_index(supports):
-    """Map each key of disjoint orbit supports to (orbit number, orbit size)."""
+    """Map each key of disjoint orbit supports to (orbit number, orbit size);
+    structure_constants and its per-product reference both read it."""
     return {key: (i, len(support))
             for i, support in enumerate(supports) for key in support}
 
@@ -236,7 +237,9 @@ def expand_in_orbit_basis(terms, index, dim: int):
     `terms` maps keys to nonzero coefficients (an AlgebraElement's terms or
     a tensor formal sum) and `index` is the basis's orbit_index.  One pass;
     None if a key lies in no orbit, a coefficient is not constant on its
-    orbit, or an orbit is only partly covered.
+    orbit, or an orbit is only partly covered.  structure_constants does not
+    call it: it is the one-product reference that the tests compare each
+    structure-constant cell with, and benchmarks/tracing.py wraps it.
     """
     coeffs = [0] * dim
     missing = {}
@@ -249,26 +252,52 @@ def expand_in_orbit_basis(terms, index, dim: int):
     return None if any(missing.values()) else tuple(coeffs)
 
 
-def structure_constants(vectors, compose):
-    """Expansions of compose(a, b) over ordered pairs of orbit-sum vectors.
+def structure_constants(supports, times):
+    """Sparse expansions of the products of coefficient-1 orbit sums, by row.
 
-    `vectors` are key->coefficient dicts with disjoint supports.  Rows and
-    their cells are lazy: a product is made only when its cell is read, and
-    a cell is None where the product leaves the span.
+    `supports` are the disjoint key lists of the sums, and `times(k, keys)`
+    is the list of product keys of k with each key.  Row i counts the
+    products of its keys with every key, one call of `times` per key, and
+    its cell j is {orbit: coefficient} for sum i times sum j, or None where
+    the product leaves the span: a product key lies in no orbit, or an orbit
+    gets two coefficients or is only partly covered.  Rows are lazy; the
+    coefficients are positive counts, so nothing cancels.
     """
-    index, dim = orbit_index(vectors), len(vectors)
+    index = orbit_index(supports)
+    keys = [key for support in supports for key in support]
+    column = [j for j, support in enumerate(supports) for _ in support]
 
-    def row(a):
-        return (expand_in_orbit_basis(compose(a, b), index, dim) for b in vectors)
+    def row(support):
+        products = Counter()
+        for k in support:
+            products.update(zip(column, times(k, keys)))
+        columns, landed = zip(*products)
+        cells = [{} for _ in supports]
+        # (column, (orbit, size) of the product, coefficient) -> how many
+        # products; an orbit is covered by one coefficient iff it has size
+        for (j, place, c), count in Counter(zip(
+                columns, map(index.get, landed), products.values())).items():
+            if cells[j] is not None:
+                if place is None or count != place[1]:
+                    cells[j] = None
+                else:
+                    cells[j][place[0]] = c
+        return cells
 
-    return map(row, vectors)
+    return map(row, supports)
+
+
+def perm_times(k: bytes, perms) -> list:
+    """The `perm` of k * h for each h.perm in perms: h.perm through k's table."""
+    k_table = table(k)
+    return [p.translate(k_table) for p in perms]
 
 
 def algebra_constants(basis):
-    """structure_constants of algebra orbit sums under the algebra product."""
-    vector = {id(v.terms): v for v in basis}  # keyed by its own terms dict
-    return structure_constants([v.terms for v in basis], lambda x, y: (
-        vector[id(x)] * vector[id(y)]).terms)
+    """structure_constants of coefficient-1 algebra orbit sums under the
+    algebra product, on `perm` bytes."""
+    return structure_constants([[g.perm for g in v.terms] for v in basis],
+                               perm_times)
 
 
 # --- coset systems -----------------------------------------------------------

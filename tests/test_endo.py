@@ -585,9 +585,9 @@ def test_opposite_check_catches_a_swapped_right_composition(monkeypatch, n, k):
     # these algebras are not commutative, so right composition in the order
     # of left multiplication breaks the transpose and nothing else
     assert opposite_check(n, k).transpose_ok
-    original = endo._TensorIndex.compose
-    monkeypatch.setattr(endo._TensorIndex, "compose",
-                        lambda self, x, y: original(self, y, x))
+    original = endo._TensorIndex.times
+    monkeypatch.setattr(endo._TensorIndex, "times", lambda self, t1, ts: [
+        original(self, t2, [t1])[0] for t2 in ts])
     report = opposite_check(n, k)
     assert report.closure_ok and not report.transpose_ok
     assert report.left_constants == report.right_constants

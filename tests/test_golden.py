@@ -45,6 +45,7 @@ COMMANDS = [
     "power-table 2 3",
     "opposite-check 1 1",
     "opposite-check 1 0",
+    "opposite-check 0 2",
     "verify-all",
 ]
 
