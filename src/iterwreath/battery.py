@@ -1,7 +1,8 @@
 """The `verify-all` battery: the paper's claim set as one report.
 
 A check that restates a subcommand's claim reads that subcommand's report
-(`_sweep`).  Only `verify-all` imports this module.
+(`_sweep`), made by the `run` that `verify-all` passes in.  Only
+`verify-all` imports this module, and it imports nothing from the CLI.
 """
 
 from __future__ import annotations
@@ -9,13 +10,12 @@ from __future__ import annotations
 import random
 
 from . import algebra, structure, treegroup
-from .cli import _VERDICTS, run
 from .endo import HomSpaceEmpty
 from .structure import VerificationError
 from .treegroup import SubgroupSpec, full_group, group_order
 
 
-def _sweep(command, cases, detail, **flags):
+def _sweep(run, command, cases, detail, **flags):
     """Decide a check that restates a subcommand's claim by running it.
 
     `cases` maps each key to the command's positional arguments, and
@@ -30,8 +30,8 @@ def _sweep(command, cases, detail, **flags):
     return ok, entries
 
 
-def _check_group_sizes(allow_large, rng):
-    ok, levels = _sweep("enumerate", {n: {"n": n} for n in range(1, 5)},
+def _check_group_sizes(run, allow_large, rng):
+    ok, levels = _sweep(run, "enumerate", {n: {"n": n} for n in range(1, 5)},
                         lambda r: r.payload)
     sizes = [p["size"] for p in levels.values()]
     chain = levels[4]["doubling_square_chain"]  # on every level up to 4
@@ -39,20 +39,20 @@ def _check_group_sizes(allow_large, rng):
         "sizes": sizes, "doubling_square_chain": chain}
 
 
-def _check_presentation(allow_large, rng):
-    return _sweep("presentation", {f"n={n}": {"n": n} for n in range(1, 5)},
+def _check_presentation(run, allow_large, rng):
+    return _sweep(run, "presentation", {f"n={n}": {"n": n} for n in range(1, 5)},
                   lambda r: {"instances": r.payload["instances_checked"],
                              "untestable": len(r.payload["untestable"]),
                              "all_pass": r.verdict == "PASS"})
 
 
-def _check_centers(allow_large, rng):
+def _check_centers(run, allow_large, rng):
     levels = [1, 2, 3] + ([4] if allow_large else [])
-    return _sweep("center", {f"n={n}": {"n": n} for n in levels},
+    return _sweep(run, "center", {f"n={n}": {"n": n} for n in levels},
                   lambda r: r.payload["match"])
 
 
-def _check_centralizers(allow_large, rng):
+def _check_centralizers(run, allow_large, rng):
     detail = {}
     for n in (1, 2, 3):
         computed = structure.group_centralizer(n, 1)
@@ -65,42 +65,42 @@ def _check_centralizers(allow_large, rng):
     return all(d["matches_product_set"] for d in detail.values()), detail
 
 
-def _check_class_counts(allow_large, rng):
+def _check_class_counts(run, allow_large, rng):
     expected = {1: 2, 2: 5, 3: 20, 4: 230}
     levels = [1, 2, 3] + ([4] if allow_large else [])
-    ok, detail = _sweep("classes", {f"n={n}": {"n": n} for n in levels},
+    ok, detail = _sweep(run, "classes", {f"n={n}": {"n": n} for n in levels},
                         lambda r: r.payload["count"], allow_large=allow_large)
     return ok and all(detail[f"n={n}"] == expected[n] for n in levels), detail
 
 
-def _check_right_cosets(allow_large, rng):
+def _check_right_cosets(run, allow_large, rng):
     cases = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)]
-    return _sweep("right-cosets",
+    return _sweep(run, "right-cosets",
                   {f"(n={n},l={l})": {"n": n, "l": l} for n, l in cases},
                   lambda r: r.payload["count"])
 
 
-def _check_double_cosets(allow_large, rng):
-    return _sweep("double-cosets", {f"n={n}": {"n": n} for n in (1, 2, 3)},
+def _check_double_cosets(run, allow_large, rng):
+    return _sweep(run, "double-cosets", {f"n={n}": {"n": n} for n in (1, 2, 3)},
                   lambda r: {"count": r.payload["count"],
                              "sizes_ok": r.verdict == "PASS"})
 
 
-def _check_orbit_counts(allow_large, rng):
-    ok, detail = _sweep("orbits", {"(n=1,k=1)": {"n": 1, "k": 1},
+def _check_orbit_counts(run, allow_large, rng):
+    ok, detail = _sweep(run, "orbits", {"(n=1,k=1)": {"n": 1, "k": 1},
                                    "(n=2,k=1)": {"n": 2, "k": 1}},
                         lambda r: r.payload["count"])
     ok = ok and list(detail.values()) == [6, 48]
     readings = ("predicted_corrected", "predicted_literal",
                 "matches_corrected", "matches_literal")
     both_ok, both = _sweep(
-        "orbits", {"(n=1,k=2)": {"n": 1, "k": 2}},
+        run, "orbits", {"(n=1,k=2)": {"n": 1, "k": 2}},
         lambda r: {"computed": r.payload["count"],
                    **{key: r.payload[key] for key in readings}})
     return ok and both_ok, {**detail, **both}
 
 
-def _check_centralizer_basis(allow_large, rng):
+def _check_centralizer_basis(run, allow_large, rng):
     def entry(report):
         p = report.payload
         out = {"dimension": p["dimension"], "all_centralize": p["all_centralize"]}
@@ -108,18 +108,18 @@ def _check_centralizer_basis(allow_large, rng):
             out["closed_under_product"] = p["closure_checked"]
         return out
     cases = [(1, 1), (2, 1), (1, 2)]
-    return _sweep("centralizer-basis",
+    return _sweep(run, "centralizer-basis",
                   {f"(n={n},k={k})": {"n": n, "k": k} for n, k in cases}, entry)
 
 
-def _check_mackey(allow_large, rng):
-    return _sweep("mackey", {f"n={n}": {"n": n} for n in (1, 2, 3)},
+def _check_mackey(run, allow_large, rng):
+    return _sweep(run, "mackey", {f"n={n}": {"n": n} for n in (1, 2, 3)},
                   lambda r: {"id_summands": r.payload["id_multiplicity"],
                              "dimension_total": r.payload["dimension_total"]})
 
 
-def _check_power_identity(allow_large, rng):
-    ok, tables = _sweep("power-table", {1: {"n": 1, "max_k": 7}},
+def _check_power_identity(run, allow_large, rng):
+    ok, tables = _sweep(run, "power-table", {1: {"n": 1, "max_k": 7}},
                         lambda r: r.payload["powers"])
     powers = tables[1]
     odd_ok = all(powers[k - 1]["collapses_to_multiple"] for k in (3, 5, 7))
@@ -133,7 +133,7 @@ def _check_power_identity(allow_large, rng):
     }
 
 
-def _check_orbit_stability(allow_large, rng):
+def _check_orbit_stability(run, allow_large, rng):
     detail = {}
     for n in (1, 2, 3):
         root = treegroup.beta(n + 1, n + 1)
@@ -147,14 +147,14 @@ def _check_orbit_stability(allow_large, rng):
     return all(all(d.values()) for d in detail.values()), detail
 
 
-def _check_end_bases(allow_large, rng):
+def _check_end_bases(run, allow_large, rng):
     cases = [(1, 1), (2, 1), (1, 2)]
     ok, detail = _sweep(
-        "end-basis",
+        run, "end-basis",
         {f"End({n},Ind^{k})": {"n": n, "k": k, "l": 0} for n, k in cases},
         lambda r: {"dimension": r.payload["dimension"],
                    "matches": r.payload["matches_centralizer_basis"]})
-    sizes_ok, sizes = _sweep("tensor-basis",
+    sizes_ok, sizes = _sweep(run, "tensor-basis",
                              {n: {"n": n, "k": 1, "l": 1} for n in (1, 2)},
                              lambda r: r.payload["size"])
     sizes_ok = sizes_ok and list(sizes.values()) == [4, 32]
@@ -170,17 +170,17 @@ def _check_end_bases(allow_large, rng):
     return ok, detail
 
 
-def _check_opposite(allow_large, rng):
-    return _sweep("opposite-check",
+def _check_opposite(run, allow_large, rng):
+    return _sweep(run, "opposite-check",
                   {f"(n=1,k={k})": {"n": 1, "k": k} for k in (0, 1)},
                   lambda r: {key: r.payload[key] for key in
                              ("dimension", "closure_ok", "transpose_ok")})
 
 
-def _check_d_generators(allow_large, rng):
+def _check_d_generators(run, allow_large, rng):
     # at m = n + 1 the report's commutator check covers every orbit sum and
     # every swap generator of the table
-    ok, tables = _sweep("d-gens", {(n, m): {"n": n, "m": m}
+    ok, tables = _sweep(run, "d-gens", {(n, m): {"n": n, "m": m}
                                    for n, m in ((1, 2), (2, 3), (2, 4))},
                         lambda r: r.payload)
     detail = {
@@ -194,7 +194,7 @@ def _check_d_generators(allow_large, rng):
             and detail["count(2,4)"] == 8), detail
 
 
-def _check_axioms_spot(allow_large, rng):
+def _check_axioms_spot(run, allow_large, rng):
     detail = {}
     for n in (3, 4):
         group, e, trials = full_group(n), treegroup.identity(n), 200
@@ -227,14 +227,14 @@ _CHECKS = [
 ]
 
 
-def verify_all(seed, allow_large):
+def verify_all(seed, allow_large, run, verdicts):
     """Every check in order; the `verify-all` handler's (ok, payload, rows)."""
     rng = random.Random(seed)
     results = []
     all_ok = True
     for name, fn in _CHECKS:
         try:
-            ok, detail = fn(allow_large, rng)
+            ok, detail = fn(run, allow_large, rng)
         except VerificationError as exc:
             ok, detail = False, {"error": str(exc)}
         results.append({"check": name, "passed": ok, "detail": detail})
@@ -246,5 +246,5 @@ def verify_all(seed, allow_large):
         "passed": sum(1 for r in results if r["passed"]),
         "failed": sum(1 for r in results if not r["passed"]),
     }
-    rows = [[r["check"], _VERDICTS[r["passed"]]] for r in results]
+    rows = [[r["check"], verdicts[r["passed"]]] for r in results]
     return all_ok, payload, rows

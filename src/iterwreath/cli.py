@@ -383,7 +383,7 @@ def _cmd_opposite_check(n, k):
 
 def _cmd_verify_all(seed, allow_large):
     from . import battery  # only this command compiles the battery
-    return battery.verify_all(seed, allow_large)
+    return battery.verify_all(seed, allow_large, run, _VERDICTS)
 
 
 # --- rendering and dispatch ----------------------------------------------------

@@ -153,11 +153,13 @@ class _TensorIndex:
         width, lefts = len(self.reps), self.lefts
         left, r1 = divmod(t1, width)
         a1_table, offset = table(lefts[left].perm), len(lefts)
-        crossed = [(rep, y.perm.translate(a1_table))  # a1 * y, per rep r2
-                   for rep, y in (self.product(r1, r2) for r2 in range(width))]
+        crossed = [None] * width  # (rep, a1 * y), for each rep r2 ts touches
         out = []
         for t2 in ts:
             left, r2 = divmod(t2, width)
+            if crossed[r2] is None:
+                rep, y = self.product(r1, r2)
+                crossed[r2] = rep, y.perm.translate(a1_table)
             rep, perm = crossed[r2]
             product = _pool[perm.translate(table(lefts[left].perm))]
             out.append((product.rank - offset) * width + rep)

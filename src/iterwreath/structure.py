@@ -8,7 +8,7 @@ decomposition built here re-checks its own partition properties.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .algebra import AlgebraElement, orbit
@@ -302,40 +302,41 @@ def algebra_constants(basis):
 
 # --- coset systems -----------------------------------------------------------
 
-class CosetSystem(namedtuple("CosetSystem", "ambient_level representatives "
-                                             "sizes cosets stated_representatives")):
-    """A verified partition of the ambient group into cosets.
+class CosetSystem:
+    """A partition of the ambient group into cosets, checked when built.
 
-    `representatives` are the canonical minima of each coset (sorted);
-    `stated_representatives` are the generated products whose completeness
-    the construction asserts, aligned with `cosets`.
+    `systems()` yields (coset, stated representative) pairs, each coset a
+    sequence of `perm` bytes.  The one check of the coset layer runs at once:
+    the perms, repeats kept, are the |A| distinct elements.  The ordering is
+    built on first read: `representatives` are the coset minima (sorted), and
+    `stated_representatives`, the generated products whose completeness the
+    construction asserts, are aligned with `cosets`.
     """
 
-    __slots__ = ()
+    def __init__(self, systems, ambient: int, label: str):
+        total, covered, count = 0, set(), 0
+        for count, (coset, _) in enumerate(systems(), 1):
+            total += len(coset)
+            covered.update(coset)
+        order = group_order(ambient)
+        if not total == order == len(covered):
+            raise VerificationError(
+                f"{label}: cosets cover {len(covered)} of {order} elements "
+                f"(total size {total})")
+        self.ambient_level, self.count, self._systems = ambient, count, systems
 
-    @property
-    def count(self) -> int:
-        return len(self.cosets)
+    @cached_property
+    def _ordered(self):
+        systems = sorted(((from_perms(self.ambient_level, coset), rep)
+                          for coset, rep in self._systems()),
+                         key=lambda system: system[0][0].rank)
+        del self._systems  # the cosets' elements hold their perms now
+        return tuple(zip(*systems))
 
-
-def _coset_system(systems, ambient: int, label: str) -> CosetSystem:
-    """Order (coset, stated representative) pairs by each coset's least
-    element and verify the partition, the one check of the coset layer: the
-    cosets' elements, repeats kept, are the |A| distinct elements."""
-    systems = sorted(systems, key=lambda system: system[0][0].rank)
-    ranks = [g.rank for coset, _ in systems for g in coset]
-    order, covered = group_order(ambient), len(set(ranks))
-    if not len(ranks) == order == covered:
-        raise VerificationError(
-            f"{label}: cosets cover {covered} of {order} elements "
-            f"(total size {len(ranks)})")
-    return CosetSystem(
-        ambient_level=ambient,
-        representatives=tuple(c[0] for c, _ in systems),
-        sizes=tuple(len(c) for c, _ in systems),
-        cosets=tuple(c for c, _ in systems),
-        stated_representatives=tuple(rep for _, rep in systems),
-    )
+    cosets = property(lambda self: self._ordered[0])
+    stated_representatives = property(lambda self: self._ordered[1])
+    representatives = property(lambda self: tuple(c[0] for c in self.cosets))
+    sizes = property(lambda self: tuple(map(len, self.cosets)))
 
 
 def coset_rep_pairs(base: int, ambient: int):
@@ -369,11 +370,11 @@ def right_coset_reps(n: int, l: int) -> CosetSystem:
     if ambient > MAX_ENUM_LEVEL:
         raise LevelTooLarge(
             f"right-coset enumeration capped at level {MAX_ENUM_LEVEL}")
+    reps = [rep for _, _, rep in coset_rep_pairs(n, ambient)]
     tables = [table(x.perm) for x in SubgroupSpec.embedded(n).elements(ambient)]
-    return _coset_system(
-        ((from_perms(ambient, [rep.perm.translate(t) for t in tables]), rep)
-         for _, _, rep in coset_rep_pairs(n, ambient)),
-        ambient, "right cosets")
+    # one column of x * rep per subgroup element x; each coset is a row
+    columns = [[rep.perm.translate(t) for rep in reps] for t in tables]
+    return CosetSystem(lambda: zip(zip(*columns), reps), ambient, "right cosets")
 
 
 @element_cache
@@ -397,8 +398,8 @@ def double_cosets(n: int) -> CosetSystem:
     systems = []
     for b in SubgroupSpec.hat(n).elements(ambient):
         b_table = table(b.perm)
-        coset = from_perms(ambient, (y.translate(b_table) for y in base))
-        block = {x.perm for x in coset}
+        coset = [y.translate(b_table) for y in base]
+        block = set(coset)
         # left stability by generators makes b*A_n the full two-sided coset
         for t_table in gen_tables:
             if any(x.translate(t_table) not in block for x in block):
@@ -408,12 +409,9 @@ def double_cosets(n: int) -> CosetSystem:
 
     root = beta(ambient, ambient)
     right = [y.translate(table(root.perm)) for y in base]  # root * y
-    # cosets are interned as they are built: a set of fresh perm bytes costs
-    # memory that the interned elements already hold
-    big = from_perms(ambient, (p.translate(x_table)
-                               for x_table in map(table, base) for p in right))
+    big = [p.translate(x_table) for x_table in map(table, base) for p in right]
     systems.append((big, root))
-    return _coset_system(systems, ambient, "double cosets")
+    return CosetSystem(lambda: systems, ambient, "double cosets")
 
 
 # --- defining relations -------------------------------------------------------

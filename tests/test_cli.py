@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -151,7 +152,7 @@ def test_mackey_census_is_decided_by_the_report(monkeypatch, capsys):
     def short(n):
         system = original(n)
         assert system.stated_representatives[0].is_identity
-        return system._replace(
+        return SimpleNamespace(
             cosets=system.cosets[1:],
             stated_representatives=system.stated_representatives[1:])
 
@@ -162,6 +163,33 @@ def test_mackey_census_is_decided_by_the_report(monkeypatch, capsys):
     assert blob["verdict"] == "FAIL"
     assert "error" not in blob["payload"]
     assert blob["payload"]["id_multiplicity"] == group_order(2) - 1
+
+
+def counted_from_perms(monkeypatch):
+    """The levels of every `from_perms` call the coset layer makes."""
+    calls, original = [], structure.from_perms
+
+    def counted(level, perms):
+        calls.append(level)
+        return original(level, perms)
+
+    monkeypatch.setattr(structure, "from_perms", counted)
+    return calls
+
+
+def test_unlisted_right_cosets_are_checked_but_never_ordered(monkeypatch):
+    calls = counted_from_perms(monkeypatch)
+    for n, l in [(1, 2), (2, 1)]:
+        assert cli.run("right-cosets", {"n": n, "l": l}, {}).verdict == "PASS"
+    assert calls == []
+
+
+def test_battery_orders_only_the_listed_right_cosets(monkeypatch):
+    # one call per listed coset: 4 + 16 + 256 + 64 at (1,0) (2,0) (3,0) (1,1)
+    calls = counted_from_perms(monkeypatch)
+    ok, _ = battery._check_right_cosets(cli.run, False, random.Random(0))
+    assert ok
+    assert len(calls) <= 340
 
 
 def test_verification_error_report_keeps_its_parameters(monkeypatch, capsys):
@@ -231,7 +259,7 @@ def test_battery_check_fails_when_the_command_it_reads_fails(
         return False, payload, rows
 
     monkeypatch.setitem(_COMMANDS, command, (failing, *_COMMANDS[command][1:]))
-    ok, _ = SWEPT_BY[command](False, random.Random(0))
+    ok, _ = SWEPT_BY[command](cli.run, False, random.Random(0))
     assert ok is False
 
 
@@ -502,6 +530,20 @@ def test_console_script_entry_point():
     blob = json.loads(proc.stdout)
     assert blob["payload"]["size"] == 2
     assert [e["cycles"] for e in blob["payload"]["elements"]] == ["e", "(1 2)"]
+
+
+def test_battery_imports_nothing_from_the_cli():
+    # `python -m iterwreath.cli verify-all` runs the CLI as __main__, so a
+    # battery import of iterwreath.cli would compile a second copy of it
+    package_root = str(Path(iterwreath.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import iterwreath.battery; print(*sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "iterwreath.battery" in loaded
+    assert "iterwreath.cli" not in loaded
 
 
 def test_cold_start_imports_stay_small():

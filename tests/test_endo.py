@@ -372,6 +372,15 @@ def test_composition_matches_convolution_without_restriction():
     assert composed == as_tensor(reversed_product)
 
 
+def test_composing_single_tensors_resolves_one_rep_pair():
+    # (3,3,3) has 128 representatives; two single tensors touch one pair
+    index = endo.tensor_index(3, 3, 3)
+    index.pairs.clear()  # a table filled on use
+    for count, (s, t) in enumerate([(1000, 5000), (77, 16000)], 1):
+        compose_tensor_sums({index.tensor(s): 1}, {index.tensor(t): 1})
+        assert len(index.pairs) == count
+
+
 @pytest.mark.parametrize("n,k,l", [(1, 1, 1), (2, 1, 1), (1, 2, 1)])
 def test_end_basis_closure_reported(n, k, l):
     # the claim the end-basis verdict asserts at l > 0: the pairwise

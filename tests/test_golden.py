@@ -29,6 +29,8 @@ COMMANDS = [
     "class-count 6",
     "right-cosets 1 1",
     "right-cosets 2 0",
+    "right-cosets 3 0",
+    "right-cosets 1 2",
     "double-cosets 2",
     "orbits 1 2",
     "orbits 2 1",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from iterwreath import (
@@ -104,7 +106,8 @@ def test_wrong_intersection_is_caught(monkeypatch):
 def test_coset_cut_short_fails_the_dimension_check(monkeypatch):
     system = double_cosets(1)
     cosets = system.cosets[:-1] + (system.cosets[-1][:-1],)
-    monkeypatch.setattr(mackey, "double_cosets",
-                        lambda n: system._replace(cosets=cosets))
+    short = SimpleNamespace(cosets=cosets,
+                            stated_representatives=system.stated_representatives)
+    monkeypatch.setattr(mackey, "double_cosets", lambda n: short)
     with pytest.raises(VerificationError, match="!= coset size"):
         mackey_decomposition(1)

@@ -295,6 +295,22 @@ def test_cosets_that_are_no_partition_are_caught(monkeypatch, edit):
         right_coset_reps(1, 1)
 
 
+def test_repeated_subgroup_element_fails_the_cover_check(monkeypatch):
+    # the identity listed twice in place of the other member of the embedded
+    # level-1 group: every coset keeps its size but covers one element
+    original = SubgroupSpec.elements
+
+    def repeated(self, ambient):
+        members = original(self, ambient)
+        return members[:1] * len(members) if self.kind == "embedded" else members
+
+    monkeypatch.setattr(SubgroupSpec, "elements", repeated)
+    with pytest.raises(VerificationError) as caught:
+        right_coset_reps(1, 1)
+    assert str(caught.value) == (
+        "right cosets: cosets cover 64 of 128 elements (total size 128)")
+
+
 def test_right_cosets_guard():
     with pytest.raises(LevelTooLarge):
         right_coset_reps(2, 2)
@@ -321,8 +337,10 @@ def test_double_cosets_census(n):
 
 
 def test_double_cosets_built_once_per_level_until_reset():
-    # the Mackey census reads the system the double-coset check built
+    # the Mackey census reads the system the double-coset check built, and
+    # the order its first read built
     assert double_cosets(2) is double_cosets(2)
+    assert double_cosets(2).cosets is double_cosets(2).cosets
     reset_caches()
     assert double_cosets.cache_info().currsize == 0
 
