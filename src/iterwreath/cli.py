@@ -71,7 +71,10 @@ def tensor_json(t) -> dict:
             "indices": list(t.coset_indices)}
 
 
-def coset_rows(system) -> list:
+def coset_rows(system, payload) -> list:
+    """A listed coset system's rows; `payload` gets its stated representatives."""
+    payload["stated_representatives"] = [
+        element_json(r) for r in system.stated_representatives]
     return [[r.cycle_string(), m.cycle_string(), s]
             for r, m, s in zip(system.stated_representatives,
                                system.representatives, system.sizes)]
@@ -149,9 +152,7 @@ def _cmd_right_cosets(n, l):
         "coset_size": group_order(n),
     }
     if system.count <= MAX_LISTED_ELEMENTS:
-        rows = coset_rows(system)
-        payload["stated_representatives"] = [
-            element_json(r) for r in system.stated_representatives]
+        rows = coset_rows(system, payload)
     else:
         rows = _placeholder(system.count, "cosets", "", group_order(n))
     return system.count == expected, payload, rows
@@ -168,10 +169,8 @@ def _cmd_double_cosets(n):
         "count": system.count,
         "expected_count": order + 1,
         "sizes": list(system.sizes),
-        "stated_representatives": [
-            element_json(r) for r in system.stated_representatives],
     }
-    return ok, payload, coset_rows(system)
+    return ok, payload, coset_rows(system, payload)
 
 
 def _cmd_orbits(n, k, allow_large=False):
@@ -293,8 +292,8 @@ def _cmd_end_basis(n, k, l):
         "index_change_count": eb.index_change_count,
     }
     ok = eb.index_change_count == 0  # the acting group fixes swap indices
-    if l == 0:
-        reference = structure.centralizer_algebra_basis(n, k)
+    if l == 0:  # the index above already holds every tensor, so no guard
+        reference = structure.centralizer_algebra_basis(n, k, allow_large=True)
         payload["matches_centralizer_basis"] = tuple(eb.vectors) == reference
         ok = ok and payload["matches_centralizer_basis"]
     if eb.dimension > MAX_LISTED_VECTORS:
@@ -477,15 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="iterwreath",
         description="Exact verification tables for the binary-tree "
                     "automorphism tower.")
+    output = argparse.ArgumentParser(add_help=False)  # shared by every subcommand
+    output.add_argument("--format", choices=("json", "csv", "text"),
+                        default="text")
+    output.add_argument("--out", default=None,
+                        help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, _, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[output])
         for arg in _positionals(name):
             p.add_argument(arg, type=int)
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
-        p.add_argument("--out", default=None,
-                       help="write the report to this path instead of stdout")
         if "allow_large" in _flags(name):
             p.add_argument("--allow-large", action="store_true",
                            help="unlock the level-4 exhaustive runs")

@@ -8,7 +8,7 @@ group.  A level-n element g acts by a (x) r -> (g*a*y) (x) r', where the
 renormalization r * g^-1 = y * r' moves the level-b prefix y into the left.
 
 Internally a tensor is the integer left_index * R + rep_index: lefts in word
-order, the R representatives sorted by (coset_b, coset_indices), so integer
+order, the R representatives in the transversal's (b, I) order, so integer
 order is TensorBasisElement order.  Since y and r' depend on (r, g) only, the
 orbit search reads one table entry per (rep, generator) and never factorizes
 per tensor; composition reads a table over rep pairs, r1 * r2 = y * r'.
@@ -38,6 +38,7 @@ from .treegroup import (
     SubgroupSpec,
     TreeAutomorphism,
     UsageError,
+    _from_perm,
     _pool,
     beta,
     beta_product,
@@ -115,7 +116,8 @@ class _TensorIndex:
 
     def __init__(self, m: int, n: int, b: int):
         self.m, self.b, self.lefts = m, b, full_group(m)
-        self.reps = sorted(coset_rep_pairs(b, n), key=lambda rep: rep[:2])
+        self.reps = [(chain, indices, _from_perm(n, perm))  # interned here only
+                     for chain, indices, perm in coset_rep_pairs(b, n)]
         self.pairs = {}
         self.rep_index = {rep[:2]: i for i, rep in enumerate(self.reps)}
         self.size = len(self.lefts) * len(self.reps)

@@ -17,7 +17,6 @@ from .treegroup import (
     LevelTooLarge,
     SubgroupSpec,
     TreeAutomorphism,
-    _from_perm,
     _pool,
     beta,
     beta_product,
@@ -306,11 +305,12 @@ class CosetSystem:
     """A partition of the ambient group into cosets, checked when built.
 
     `systems()` yields (coset, stated representative) pairs, each coset a
-    sequence of `perm` bytes.  The one check of the coset layer runs at once:
-    the perms, repeats kept, are the |A| distinct elements.  The ordering is
-    built on first read: `representatives` are the coset minima (sorted), and
-    `stated_representatives`, the generated products whose completeness the
-    construction asserts, are aligned with `cosets`.
+    sequence of `perm` bytes and its representative the perm of a member.
+    The one check of the coset layer runs at once: the perms, repeats kept,
+    are the |A| distinct elements.  The ordering, built on first read, interns
+    the cosets and then their representatives: `representatives` are the coset
+    minima (sorted), and `stated_representatives`, the generated products whose
+    completeness the construction asserts, are aligned with `cosets`.
     """
 
     def __init__(self, systems, ambient: int, label: str):
@@ -331,7 +331,7 @@ class CosetSystem:
                           for coset, rep in self._systems()),
                          key=lambda system: system[0][0].rank)
         del self._systems  # the cosets' elements hold their perms now
-        return tuple(zip(*systems))
+        return tuple(zip(*((coset, _pool[rep]) for coset, rep in systems)))
 
     cosets = property(lambda self: self._ordered[0])
     stated_representatives = property(lambda self: self._ordered[1])
@@ -340,27 +340,24 @@ class CosetSystem:
 
 
 def coset_rep_pairs(base: int, ambient: int):
-    """Transversal of the embedded level-`base` subgroup, as (b, I, product).
+    """Transversal of the embedded level-`base` subgroup, as (b, I, perm).
 
-    b runs over the chain of shifted copies between the two levels and I over
-    subsets of {base+1, ..., ambient}; the product b * beta_product(I) is the
-    representative.  For ambient == base the single representative is trivial.
+    In (b, I) order, the one order of the transversal: b runs over the chain
+    of shifted copies between the two levels by rank, I over the subsets of
+    {base+1, ..., ambient} as sorted tuples, and perm is the `perm` of the
+    representative b * beta_product(I).  At ambient == base it is trivial.
     """
     if base > ambient:
         raise ValueError(f"base {base} exceeds ambient {ambient}")
-    if base == ambient:
-        return ((identity(ambient), (), identity(ambient)),)
-    chain = SubgroupSpec.hat_chain(base, ambient - 1).elements(ambient)
-    betas = [(indices, beta_product(ambient, indices).perm)
-             for size in range(ambient - base + 1)
-             for indices in combinations(range(base + 1, ambient + 1), size)]
+    chain = (SubgroupSpec.hat_chain(base, ambient - 1).elements(ambient)
+             if base < ambient else (identity(ambient),))
+    betas = sorted((indices, beta_product(ambient, indices).perm)
+                   for size in range(ambient - base + 1)
+                   for indices in combinations(range(base + 1, ambient + 1), size))
     out = []
     for b in chain:
         b_table = table(b.perm)  # w through it is b * w
-        for indices, w in betas:
-            p = w.translate(b_table)
-            out.append((b, indices, _pool.get(p) or _from_perm(ambient, p)))
-    out.sort(key=lambda item: item[2].rank)
+        out.extend((b, indices, w.translate(b_table)) for indices, w in betas)
     return tuple(out)
 
 
@@ -373,7 +370,7 @@ def right_coset_reps(n: int, l: int) -> CosetSystem:
     reps = [rep for _, _, rep in coset_rep_pairs(n, ambient)]
     tables = [table(x.perm) for x in SubgroupSpec.embedded(n).elements(ambient)]
     # one column of x * rep per subgroup element x; each coset is a row
-    columns = [[rep.perm.translate(t) for rep in reps] for t in tables]
+    columns = [[rep.translate(t) for rep in reps] for t in tables]
     return CosetSystem(lambda: zip(zip(*columns), reps), ambient, "right cosets")
 
 
@@ -405,12 +402,12 @@ def double_cosets(n: int) -> CosetSystem:
             if any(x.translate(t_table) not in block for x in block):
                 raise VerificationError(
                     f"coset of {b.cycle_string()} is not left-stable")
-        systems.append((coset, b))
+        systems.append((coset, b.perm))
 
     root = beta(ambient, ambient)
     right = [y.translate(table(root.perm)) for y in base]  # root * y
     big = [p.translate(x_table) for x_table in map(table, base) for p in right]
-    systems.append((big, root))
+    systems.append((big, root.perm))
     return CosetSystem(lambda: systems, ambient, "double cosets")
 
 

@@ -67,7 +67,7 @@ def coset_rep_pairs_reference(base, ambient):
            for b in chain
            for size in range(ambient - base + 1)
            for indices in combinations(range(base + 1, ambient + 1), size)]
-    return tuple(sorted(out, key=lambda item: item[2]))
+    return tuple(sorted(out, key=lambda item: item[:2]))  # (b, I) order
 
 
 def right_cosets_reference(n, l):
@@ -156,8 +156,9 @@ def test_group_centralizer_matches_products(n, k):
 @pytest.mark.parametrize("base, ambient",
                          [(b, a) for a in range(4) for b in range(a + 1)])
 def test_coset_rep_pairs_match_products(base, ambient):
-    assert coset_rep_pairs(base, ambient) == coset_rep_pairs_reference(
-        base, ambient)
+    assert coset_rep_pairs(base, ambient) == tuple(
+        (b, indices, rep.perm)
+        for b, indices, rep in coset_rep_pairs_reference(base, ambient))
 
 
 @pytest.mark.parametrize("n, l", [(n, l) for n in range(3) for l in range(3 - n)])

@@ -4,16 +4,17 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import iterwreath
-from iterwreath import (AlgebraElement, battery, beta, cli, endo, group_order,
-                        mackey, structure)
-from iterwreath.cli import _COMMANDS, _positionals, main
+from iterwreath import (AlgebraElement, SubgroupSpec, battery, beta,
+                        beta_product, cli, endo, group_order, mackey, structure,
+                        treegroup)
+from iterwreath.cli import _COMMANDS, _flags, _positionals, build_parser, main
 from iterwreath.treegroup import reset_caches
 
 
@@ -182,6 +183,21 @@ def test_unlisted_right_cosets_are_checked_but_never_ordered(monkeypatch):
     for n, l in [(1, 2), (2, 1)]:
         assert cli.run("right-cosets", {"n": n, "l": l}, {}).verdict == "PASS"
     assert calls == []
+
+
+def test_unlisted_right_cosets_make_no_element_for_a_representative():
+    # of the 16384 representatives b * beta_product(I) at (1, 2), only the
+    # chain elements b (I empty) and the generator products (b = e), from
+    # which the transversal is built, are ever interned
+    reset_caches()
+    assert cli.run("right-cosets", {"n": 1, "l": 2}, {}).verdict == "PASS"
+    made = set(treegroup._pool)
+    subsets = [I for size in range(4) for I in combinations((2, 3, 4), size)]
+    reps = {(b, I): (b * beta_product(4, I)).perm
+            for b in SubgroupSpec.hat_chain(1, 3).elements(4) for I in subsets}
+    assert len(reps) == 16384
+    assert {key for key, perm in reps.items() if perm in made} == {
+        (b, I) for b, I in reps if not I or b.is_identity}
 
 
 def test_battery_orders_only_the_listed_right_cosets(monkeypatch):
@@ -354,6 +370,37 @@ def test_classes_level_four_with_flag(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["payload"]["count"] == 230
+
+
+FLAG_VALUES = {"allow_large": (["--allow-large"], True), "seed": (["--seed", "7"], 7)}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_subcommand_takes_format_and_out_and_keeps_its_flags(command):
+    parser, positionals = build_parser(), ["1"] * len(_positionals(command))
+    argv = [command, *positionals, "--format", "csv", "--out", "report.csv"]
+    for flag in _flags(command):
+        argv += FLAG_VALUES[flag][0]
+    args = vars(parser.parse_args(argv))
+    assert args == {"command": command, "format": "csv", "out": "report.csv",
+                    **dict.fromkeys(_positionals(command), 1),
+                    **{flag: FLAG_VALUES[flag][1] for flag in _flags(command)}}
+    args = parser.parse_args([command, *positionals])
+    assert (args.format, args.out) == ("text", None)
+    subparser = parser._subparsers._group_actions[0].choices[command]
+    assert {o for a in subparser._actions for o in a.option_strings} == {
+        "-h", "--help", "--format", "--out",
+        *(f"--{flag.replace('_', '-')}" for flag in _flags(command))}
+
+
+def test_end_basis_without_restriction_at_level_four_needs_no_flag(capsys):
+    # its reference centralizer basis scans the 32768 tensors the index holds
+    code, out = run_cli(capsys, "end-basis", "4", "0", "0", "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["verdict"] == "PASS"
+    assert blob["payload"]["dimension"] == 230
+    assert blob["payload"]["matches_centralizer_basis"] is True
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

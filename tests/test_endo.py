@@ -33,7 +33,8 @@ from iterwreath.endo import (
     compose_tensor_sums,
     end_basis_closure,
 )
-from iterwreath.treegroup import reset_caches
+from iterwreath.structure import coset_rep_pairs
+from iterwreath.treegroup import TreeAutomorphism, _pool, reset_caches
 
 import span_check
 from cycle_notation import elem
@@ -106,6 +107,17 @@ def test_tensor_index_short_of_a_rep_is_caught(monkeypatch):
     reset_caches()  # the (1, 1, 0) index may be cached
     with pytest.raises(VerificationError, match="tensor basis size"):
         tensor_basis(1, 1, 1)
+
+
+@pytest.mark.parametrize("m, n, b", [(1, 1, 0), (1, 1, 1), (2, 2, 1), (3, 2, 0),
+                                     (3, 3, 1), (4, 3, 2)])
+def test_tensor_index_reads_the_transversal_in_order(m, n, b):
+    # the transversal's (b, I) order is the index's order: no second sort
+    index = endo._tensor_index(m, n, b)
+    got = [(chain, indices, rep.perm) for chain, indices, rep in index.reps]
+    assert got == list(coset_rep_pairs(b, n))
+    assert all(isinstance(rep, TreeAutomorphism) and rep is _pool[rep.perm]
+               for _, _, rep in index.reps)
 
 
 def test_coset_rep_reads_the_index(monkeypatch):

@@ -42,6 +42,7 @@ COMMANDS = [
     "end-basis 2 1 1",
     "end-basis 1 1 0",
     "end-basis 2 2 2",
+    "end-basis 4 0 0",
     "d-gens 1 3",
     "power-table 1 5",
     "power-table 2 3",
