@@ -15,7 +15,7 @@ from .structure import VerificationError
 from .treegroup import SubgroupSpec, full_group, group_order
 
 
-def _sweep(run, command, cases, detail, **flags):
+def _sweep(run, command, cases, detail):
     """Decide a check that restates a subcommand's claim by running it.
 
     `cases` maps each key to the command's positional arguments, and
@@ -24,7 +24,7 @@ def _sweep(run, command, cases, detail, **flags):
     """
     ok, entries = True, {}
     for key, params in cases.items():
-        report = run(command, params, flags)
+        report = run(command, params, {})
         ok = ok and report.verdict == "PASS"
         entries[key] = detail(report)
     return ok, entries
@@ -69,7 +69,7 @@ def _check_class_counts(run, allow_large, rng):
     expected = {1: 2, 2: 5, 3: 20, 4: 230}
     levels = [1, 2, 3] + ([4] if allow_large else [])
     ok, detail = _sweep(run, "classes", {f"n={n}": {"n": n} for n in levels},
-                        lambda r: r.payload["count"], allow_large=allow_large)
+                        lambda r: r.payload["count"])
     return ok and all(detail[f"n={n}"] == expected[n] for n in levels), detail
 
 

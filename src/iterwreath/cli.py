@@ -10,7 +10,7 @@ Command contract: `_COMMANDS` alone names each subcommand, its arguments and
 its CSV columns.  A handler takes them by name (int positionals, then the
 `allow_large`/`seed` flags) and returns (ok, payload, rows); `run` maps ok
 True/False/None to PASS/FAIL/INFO and reports the positionals as parameters,
-or the flags if there are none (elsewhere `--allow-large` only lifts a guard).
+or the flags if there are none.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def _cmd_center(n):
     return ok, payload, [[g.word_string(), g.cycle_string()] for g in computed]
 
 
-def _cmd_classes(n, allow_large=False):
-    decomp = structure.conjugacy_classes(n, allow_large=allow_large)
+def _cmd_classes(n):
+    decomp = structure.conjugacy_classes(n)
     predicted = structure.class_count(n)
     payload = {
         "level": n,
@@ -173,8 +173,8 @@ def _cmd_double_cosets(n):
     return ok, payload, coset_rows(system, payload)
 
 
-def _cmd_orbits(n, k, allow_large=False):
-    decomp = structure.orbit_decomposition(n, k, allow_large=allow_large)
+def _cmd_orbits(n, k):
+    decomp = structure.orbit_decomposition(n, k)
     corrected = structure.predicted_orbit_count(n, k)
     literal = structure.predicted_orbit_count_literal(n, k)
     payload = {
@@ -200,8 +200,8 @@ def _cmd_orbits(n, k, allow_large=False):
     return decomp.count == corrected, payload, rows
 
 
-def _cmd_centralizer_basis(n, k, allow_large=False):
-    basis = structure.centralizer_algebra_basis(n, k, allow_large=allow_large)
+def _cmd_centralizer_basis(n, k):
+    basis = structure.centralizer_algebra_basis(n, k)
     sub = SubgroupSpec.embedded(n)
     all_central = all(algebra.centralizes(v, sub) for v in basis)
     closure = all(c is not None for row in structure.algebra_constants(basis)
@@ -292,8 +292,8 @@ def _cmd_end_basis(n, k, l):
         "index_change_count": eb.index_change_count,
     }
     ok = eb.index_change_count == 0  # the acting group fixes swap indices
-    if l == 0:  # the index above already holds every tensor, so no guard
-        reference = structure.centralizer_algebra_basis(n, k, allow_large=True)
+    if l == 0:
+        reference = structure.centralizer_algebra_basis(n, k)
         payload["matches_centralizer_basis"] = tuple(eb.vectors) == reference
         ok = ok and payload["matches_centralizer_basis"]
     if eb.dimension > MAX_LISTED_VECTORS:
@@ -421,7 +421,7 @@ _COMMANDS = {
                   "list a full level and check its order"),
     "center": (_cmd_center, "n", "word cycles",
                "brute-force center against the closed form"),
-    "classes": (_cmd_classes, "n --allow-large", "representative size",
+    "classes": (_cmd_classes, "n", "representative size",
                 "conjugacy classes against the class-count recursion"),
     "class-count": (_cmd_class_count, "n", "n count",
                     "class-count recursion values"),
@@ -429,9 +429,9 @@ _COMMANDS = {
                      "verified right-coset transversal"),
     "double-cosets": (_cmd_double_cosets, "n", "stated_rep canonical_rep size",
                       "verified two-sided coset decomposition"),
-    "orbits": (_cmd_orbits, "n k --allow-large", "representative size label",
+    "orbits": (_cmd_orbits, "n k", "representative size label",
                "conjugation orbits with structured labels"),
-    "centralizer-basis": (_cmd_centralizer_basis, "n k --allow-large",
+    "centralizer-basis": (_cmd_centralizer_basis, "n k",
                           "index terms vector",
                           "orbit-sum basis of the centralizer algebra"),
     "presentation": (_cmd_presentation, "n", "family params status",
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg, type=int)
         if "allow_large" in _flags(name):
             p.add_argument("--allow-large", action="store_true",
-                           help="unlock the level-4 exhaustive runs")
+                           help="add the level-4 center and class checks")
         if "seed" in _flags(name):
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser

@@ -12,16 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .structure import VerificationError, double_cosets
-from .treegroup import (
-    MAX_ENUM_LEVEL,
-    LevelTooLarge,
-    SubgroupSpec,
-    TreeAutomorphism,
-    group_order,
-    table,
-)
-
-MACKEY_MAX_LEVEL = MAX_ENUM_LEVEL - 1
+from .treegroup import SubgroupSpec, TreeAutomorphism, group_order, table
 
 
 class MackeySummand(namedtuple("MackeySummand",
@@ -33,9 +24,6 @@ class MackeySummand(namedtuple("MackeySummand",
 
 def conjugate_intersection(n: int, g: TreeAutomorphism):
     """The subgroup of embedded level-n elements that also lie in gA_ng^-1."""
-    if n > MACKEY_MAX_LEVEL:
-        raise LevelTooLarge(
-            f"intersection computation capped at level {MACKEY_MAX_LEVEL}")
     if g.level != n + 1:
         raise ValueError(f"element level {g.level}, expected {n + 1}")
     base = SubgroupSpec.embedded(n).elements(n + 1)
@@ -52,9 +40,6 @@ def mackey_decomposition(n: int):
     and each bimodule dimension |A_n|^2 / |intersection| its coset's size;
     the mackey report counts the census.
     """
-    if n > MACKEY_MAX_LEVEL:
-        raise LevelTooLarge(
-            f"Mackey decomposition capped at level {MACKEY_MAX_LEVEL}")
     system = double_cosets(n)
     order = group_order(n)
     base = set(SubgroupSpec.embedded(n).elements(n + 1))

@@ -101,9 +101,6 @@ def group_centralizer(n: int, k: int):
     if k < 0:
         raise ValueError(f"offset must be >= 0, got {k}")
     ambient = n + k
-    if ambient > MAX_ENUM_LEVEL:
-        raise LevelTooLarge(
-            f"centralizer computation capped at level {MAX_ENUM_LEVEL}")
     out = full_group(ambient)
     for t in SubgroupSpec.embedded(n).generators(ambient):
         t_table = table(t.perm)  # x * t against t * x, on perm bytes
@@ -147,19 +144,13 @@ def _orbit_partition(elements, spec: SubgroupSpec):
     return tuple(orbits)
 
 
-def conjugacy_classes(n: int, allow_large: bool = False) -> OrbitDecomposition:
-    """All conjugacy classes by brute force; level 4 is opt-in."""
-    if n > MAX_ENUM_LEVEL:
-        raise LevelTooLarge(f"class enumeration capped at level {MAX_ENUM_LEVEL}")
-    if n == MAX_ENUM_LEVEL and not allow_large:
-        raise LevelTooLarge(
-            "conjugacy classes at level 4 scan 32768 elements; "
-            "pass allow_large=True (CLI: --allow-large)")
+def conjugacy_classes(n: int) -> OrbitDecomposition:
+    """All conjugacy classes by brute force."""
     spec = SubgroupSpec.full()
     return OrbitDecomposition(n, _orbit_partition(full_group(n), spec))
 
 
-def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecomposition:
+def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
     """Orbits of level-n conjugation on the level-(n+k) group, with labels.
 
     Each orbit is labeled either (class of g) * h or (orbit of a descending
@@ -167,11 +158,8 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
     orbit exactly once.
     """
     ambient = n + k
-    if ambient > MAX_ENUM_LEVEL:
-        raise LevelTooLarge(
-            f"orbit decomposition capped at ambient level {MAX_ENUM_LEVEL}")
     if k == 0:
-        classes = conjugacy_classes(n, allow_large)
+        classes = conjugacy_classes(n)
         labels = tuple(OrbitLabel("class", o.representative, (), identity(n))
                        for o in classes.orbits)
         return OrbitDecomposition(n, classes.orbits, labels)
@@ -212,13 +200,13 @@ def orbit_decomposition(n: int, k: int, allow_large: bool = False) -> OrbitDecom
     return OrbitDecomposition(ambient, orbits, tuple(assigned))
 
 
-def centralizer_algebra_basis(n: int, k: int, allow_large: bool = False):
+def centralizer_algebra_basis(n: int, k: int):
     """Orbit sums of the level-n conjugation action: a centralizer basis.
 
     Linear independence is free (disjoint supports); commutation with the
     embedded subgroup is re-checked by callers and tests.
     """
-    decomp = orbit_decomposition(n, k, allow_large)
+    decomp = orbit_decomposition(n, k)
     return tuple(AlgebraElement.from_elements(decomp.ambient_level, o.elements)
                  for o in decomp.orbits)
 
@@ -364,9 +352,6 @@ def coset_rep_pairs(base: int, ambient: int):
 def right_coset_reps(n: int, l: int) -> CosetSystem:
     """Right cosets of the embedded level-n group inside level n+l+1."""
     ambient = n + l + 1
-    if ambient > MAX_ENUM_LEVEL:
-        raise LevelTooLarge(
-            f"right-coset enumeration capped at level {MAX_ENUM_LEVEL}")
     reps = [rep for _, _, rep in coset_rep_pairs(n, ambient)]
     tables = [table(x.perm) for x in SubgroupSpec.embedded(n).elements(ambient)]
     # one column of x * rep per subgroup element x; each coset is a row
@@ -385,9 +370,6 @@ def double_cosets(n: int) -> CosetSystem:
     sizes.  Built once per level: the Mackey census reads the same system.
     """
     ambient = n + 1
-    if ambient > MAX_ENUM_LEVEL:
-        raise LevelTooLarge(
-            f"double-coset enumeration capped at level {MAX_ENUM_LEVEL}")
     spec = SubgroupSpec.embedded(n)
     base = [y.perm for y in spec.elements(ambient)]
     gen_tables = [table(t.perm) for t in spec.generators(ambient)]

@@ -102,7 +102,7 @@ def test_criterion_05_class_counts(capsys):
     recursion = [class_count(n) for n in (1, 2, 3)]
     ok = counts == [2, 5, 20] == recursion
     started = time.perf_counter()
-    big = conjugacy_classes(4, allow_large=True).count
+    big = conjugacy_classes(4).count
     elapsed = time.perf_counter() - started
     ok = ok and big == 230 == class_count(4) and elapsed < 600.0
     report(5, ok, f"class counts {counts} + [{big}] match the recursion "

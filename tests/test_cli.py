@@ -279,12 +279,25 @@ def test_battery_check_fails_when_the_command_it_reads_fails(
     assert ok is False
 
 
+# One input just past each cap that the enumeration under the command
+# enforces (full_group, SubgroupSpec.elements, algebra.orbit, the byte
+# level), and past power-table's n >= 1.
+PAST_CAP = ["classes 5", "center 5", "orbits 4 1", "orbits 0 5",
+            "centralizer-basis 3 2", "right-cosets 3 1", "double-cosets 4",
+            "mackey 4", "d-gens 1 5", "power-table 4 2", "power-table 0 2"]
+
+
 def test_guard_exit_codes(capsys):
     assert main(["enumerate", "5"]) == 2
-    assert main(["classes", "4"]) == 2
     assert main(["tensor-basis", "1", "1", "2"]) == 2
     assert main(["power-table", "1", "99"]) == 2
     capsys.readouterr()
+    for argv in map(str.split, PAST_CAP):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("guard: "), argv
+        assert len(captured.err.splitlines()) == 1, argv
 
 
 @pytest.mark.parametrize("command", ["tensor-basis", "end-basis"])
@@ -364,12 +377,21 @@ def test_handler_takes_the_command_arguments_by_name(command):
     assert list(inspect.signature(handler).parameters) == names
 
 
-def test_classes_level_four_with_flag(capsys):
-    code, out = run_cli(capsys, "classes", "4", "--allow-large",
-                        "--format", "json")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["payload"]["count"] == 230
+def test_level_four_classes_need_no_flag(capsys):
+    for argv, key in [(["classes", "4"], "count"),
+                      (["orbits", "4", "0"], "count"),
+                      (["centralizer-basis", "4", "0"], "dimension")]:
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert json.loads(out)["payload"][key] == 230, argv
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--allow-large"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: iterwreath")
+        assert "--allow-large" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 FLAG_VALUES = {"allow_large": (["--allow-large"], True), "seed": (["--seed", "7"], 7)}
@@ -449,23 +471,6 @@ def test_small_argument_grid_reports_or_guards(capsys, command):
                 assert len(captured.err.splitlines()) == 1, argv
             runs.append((code, captured.out))
         assert runs[0] == runs[1], argv
-
-
-FLAG_COMMANDS = [command for command in GRID_COMMANDS
-                 if "--allow-large" in _COMMANDS[command][1].split()]
-
-
-@pytest.mark.parametrize("command", FLAG_COMMANDS)
-def test_small_argument_grid_with_allow_large(capsys, command):
-    # each of these commands works at level n (classes) or n + k
-    for values in product(GRID_VALUES, repeat=len(_positionals(command))):
-        argv = [command, *values, "--format", "json"]
-        code = main(argv + ["--allow-large"])
-        captured = capsys.readouterr()
-        assert code in (0, 2), (argv, captured.err)
-        assert "Traceback" not in captured.err, argv
-        if sum(map(int, values)) < 4:
-            assert (code, captured.out) == (main(argv), capsys.readouterr().out)
 
 
 def test_end_basis_reports_dimension(capsys):

@@ -9,6 +9,7 @@ from iterwreath import (
     HomSpaceEmpty,
     LevelTooLarge,
     SubgroupSpec,
+    UsageError,
     VerificationError,
     beta,
     centralizer_algebra_basis,
@@ -576,6 +577,8 @@ def test_power_table_coefficients_stay_exact():
 def test_power_table_guards():
     with pytest.raises(LevelTooLarge):
         power_table(4, 2)
+    with pytest.raises(UsageError):
+        power_table(0, 2)
     with pytest.raises(ValueError):
         power_table(1, 9)
     with pytest.raises(ValueError):

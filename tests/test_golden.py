@@ -25,7 +25,7 @@ COMMANDS = [
     "enumerate 2",
     "center 3",
     "classes 3",
-    "classes 4 --allow-large",
+    "classes 4",
     "class-count 6",
     "right-cosets 1 1",
     "right-cosets 2 0",

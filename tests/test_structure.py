@@ -126,12 +126,6 @@ def test_record_count_is_the_number_of_parts():
     assert system.count == len(system.cosets) == 64
 
 
-def test_conjugacy_classes_level_four_is_opt_in():
-    with pytest.raises(LevelTooLarge):
-        conjugacy_classes(4)
-    assert conjugacy_classes(4, allow_large=True).count == 230
-
-
 def test_classes_partition_is_disjoint():
     decomp = conjugacy_classes(3)
     seen = set()
@@ -219,8 +213,8 @@ def test_orbit_label_census(n, k):
 def test_orbit_label_short_of_an_element_matches_no_orbit(monkeypatch):
     real = structure.conjugacy_classes
 
-    def short(n, allow_large=False):
-        decomp = real(n, allow_large)
+    def short(n):
+        decomp = real(n)
         i = next(i for i, o in enumerate(decomp.orbits) if o.size > 1)
         cls = decomp.orbits[i]
         orbits = list(decomp.orbits)
@@ -244,8 +238,8 @@ def test_orbit_missed_by_every_label_is_caught(monkeypatch):
     # one base class dropped: its shifted copies get no label
     real = structure.conjugacy_classes
 
-    def dropped(n, allow_large=False):
-        decomp = real(n, allow_large)
+    def dropped(n):
+        decomp = real(n)
         return decomp._replace(orbits=decomp.orbits[:-1])
 
     monkeypatch.setattr(structure, "conjugacy_classes", dropped)
