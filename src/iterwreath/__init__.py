@@ -49,7 +49,6 @@ from .endo import (
     EndBasis,
     HomSpaceEmpty,
     TensorBasisElement,
-    conj_action_tensor,
     d_generator_table,
     end_ind_res_basis,
     opposite_check,

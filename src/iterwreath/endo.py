@@ -12,8 +12,8 @@ order, the R representatives in the transversal's (b, I) order, so integer
 order is TensorBasisElement order.  Since y and r' depend on (r, g) only, the
 orbit search reads one table entry per (rep, generator) and never factorizes
 per tensor; composition reads a table over rep pairs, r1 * r2 = y * r'.
-TensorBasisElement values are built only at the boundary: tensor_basis,
-conj_action_tensor and the end-basis vectors a caller reads.
+TensorBasisElement values are built only at the boundary: tensor_basis
+and the end-basis vectors a caller reads.
 """
 
 from __future__ import annotations
@@ -172,23 +172,6 @@ class _TensorIndex:
 _tensor_index = element_cache(_TensorIndex)
 
 
-def conj_action_tensor(h: TreeAutomorphism, t: TensorBasisElement) -> TensorBasisElement:
-    """Left action of a level-n element on the tensor basis.
-
-    Conjugates the tensor inside the bimodule and renormalizes.  Restricted
-    to the embedded level-(n-l) subgroup this is plain conjugation of both
-    factors, which is the action the endomorphism basis needs; over the whole
-    level-n group it is still a left action (the naive two-sided conjugation
-    formula is not).
-    """
-    n, m = t.coset_b.level, t.left.level
-    if h.level != n:
-        raise ValueError(f"acting element level {h.level}, expected {n}")
-    index = _tensor_index(m, n, t.base_level)
-    rep, crossed = index.split(t.coset_rep() * h.inverse())
-    return index.tensor(index.encode(embed_to(h, m) * t.left * crossed, rep))
-
-
 class TensorOrbits(Sequence):
     """End-basis vectors at l > 0: tuples of tensors, built on access.
 
@@ -280,36 +263,34 @@ def _generator_table(index: _TensorIndex, gens):
 
 def end_ind_res_basis(n: int, k: int, l: int) -> EndBasis:
     """Orbit sums of the tensor basis under the embedded level-(n-l) group,
-    from a union-find over integer tensors."""
+    from a frontier walk over integer tensors."""
     index, m = tensor_index(n, k, l), n + k - l
     gens = SubgroupSpec.embedded(n - l).generators(n)
-    width, parent = len(index.reps), list(range(index.size))
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = t = parent[parent[t]]
-        return t
-
+    width, roots = len(index.reps), list(range(index.size))
     lifts = [embed_to(g, m) for g in gens]
     movers, changes = {}, 0  # movers[g, y][a]: the tensor (g * a * y) (x) rep 0
+    steps = []  # steps[r]: (movers[g, y], target rep) per generator g
     for r, row in enumerate(_generator_table(index, gens)):
         for g, (target, y) in zip(lifts, row):
             changes += index.reps[target][1] != index.reps[r][1]
             if (g, y) not in movers:
                 movers[g, y] = [index.encode(g * a * y, 0) for a in index.lefts]
-            for a, b in zip(range(r, index.size, width), movers[g, y]):
-                ra, rb = find(a), find(b + target)
-                if ra < rb:
-                    parent[rb] = ra
-                elif rb < ra:
-                    parent[ra] = rb
-    for t in range(index.size):  # a parent never exceeds its child
-        parent[t] = parent[parent[t]]
-    vectors = TensorOrbits(index, parent)
+        steps.append([(movers[g, y], target) for g, (target, y) in zip(lifts, row)])
+    for t in range(index.size) if gens else ():  # no generator: all singletons
+        if roots[t] == t:  # no earlier walk reached t: the least of its orbit
+            frontier = [t]
+            while frontier:
+                a, r = divmod(frontier.pop(), width)
+                for mover, target in steps[r]:
+                    s = mover[a] + target
+                    if roots[s] != t:
+                        roots[s] = t
+                        frontier.append(s)
+    vectors = TensorOrbits(index, roots)
     if l == 0:
         vectors = tuple(AlgebraElement.from_elements(
             m, map(index.lefts.__getitem__, orbit)) for orbit in vectors.orbits)
-    dimension = sum(map(int.__eq__, parent, range(index.size)))
+    dimension = sum(map(int.__eq__, roots, range(index.size)))
     return EndBasis(n, k, l, dimension, vectors, n - l,
                     changes * len(index.lefts))
 
@@ -323,8 +304,8 @@ def d_generator_table(n: int, m: int):
     the orbit sums of descending generator products over the new indices;
     every entry is checked to centralize the embedded level-n subgroup.
     """
-    if not n < m:
-        raise UsageError(f"need n < m, got {(n, m)}")
+    if not n < m <= MAX_ENUM_LEVEL:
+        raise UsageError(f"need n < m <= {MAX_ENUM_LEVEL}, got {(n, m)}")
     sub = SubgroupSpec.embedded(n)
     gens = []
     for shift in range(m - n):
@@ -348,8 +329,9 @@ def power_table(n: int, max_k: int):
     Nothing is asserted here: the power-table report decides whether, at
     n = 1, the odd powers collapse to 2**(k-1) times the orbit sum.
     """
-    if n < 1:
-        raise UsageError(f"power table needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_ENUM_LEVEL - 1:
+        raise UsageError(
+            f"power table needs 1 <= n <= {MAX_ENUM_LEVEL - 1}, got {n}")
     if not 1 <= max_k <= MAX_POWER_EXPONENT:
         raise UsageError(f"max_k must be in 1..{MAX_POWER_EXPONENT}")
     o = orbit_sum(beta(n + 1, n + 1), SubgroupSpec.embedded(n))

@@ -280,11 +280,15 @@ def test_battery_check_fails_when_the_command_it_reads_fails(
 
 
 # One input just past each cap that the enumeration under the command
-# enforces (full_group, SubgroupSpec.elements, algebra.orbit, the byte
-# level), and past power-table's n >= 1.
+# enforces (full_group, SubgroupSpec.elements, algebra.orbit), and past
+# the ranges that power-table and d-gens check themselves.
 PAST_CAP = ["classes 5", "center 5", "orbits 4 1", "orbits 0 5",
             "centralizer-basis 3 2", "right-cosets 3 1", "double-cosets 4",
-            "mackey 4", "d-gens 1 5", "power-table 4 2", "power-table 0 2"]
+            "mackey 4", "d-gens 1 5", "d-gens 0 9", "power-table 4 2",
+            "power-table 9 2", "power-table 0 2"]
+# the guard names the value typed, not a level some inner layer reached
+TYPED = {"d-gens 1 5": "got (1, 5)", "d-gens 0 9": "got (0, 9)",
+         "power-table 4 2": "got 4", "power-table 9 2": "got 9"}
 
 
 def test_guard_exit_codes(capsys):
@@ -298,6 +302,7 @@ def test_guard_exit_codes(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("guard: "), argv
         assert len(captured.err.splitlines()) == 1, argv
+        assert TYPED.get(" ".join(argv), "") in captured.err, argv
 
 
 @pytest.mark.parametrize("command", ["tensor-basis", "end-basis"])

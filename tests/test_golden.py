@@ -5,8 +5,9 @@ formats; the bytes must equal the fixtures under tests/golden/.  That
 includes verify-all at its default seed (under 1 s in-process on 2 CPUs).
 JSON sorts its keys, so only its text and csv fixtures pin the order of
 its parameters.  benchmarks/reference holds the --allow-large run.
-tests/golden/end-basis_3_2_1.json (98304 vectors) is left out of COMMANDS
-to keep this suite short; a CI step byte-compares it.
+tests/golden/end-basis_3_2_1.json (98304 vectors) and end-basis_3_3_2.json
+(1081344 vectors, about 1.5 s on 2 CPUs) are left out of COMMANDS to keep
+this suite short; a CI step byte-compares both, each from a fresh process.
 After an intended output change, recapture with
 
     PYTHONPATH=src python tests/test_golden.py
