@@ -27,7 +27,6 @@ from .treegroup import (
     _from_perm,
     _pool,
     from_perms,
-    identity,
     table,
 )
 
@@ -66,22 +65,12 @@ class AlgebraElement:
         return cls(g.level, {g: coeff})
 
     @classmethod
-    def one(cls, level: int) -> "AlgebraElement":
-        return cls.of(identity(level))
-
-    @classmethod
     def from_elements(cls, level: int, elements) -> "AlgebraElement":
         """Coefficient-1 sum over a set of elements (e.g. an orbit)."""
         return cls(level, {g: 1 for g in elements})
 
-    def coefficient(self, g: TreeAutomorphism) -> int | Fraction:
-        return self.terms.get(g, 0)
-
     def canonical_terms(self):
         return tuple((g, self.terms[g]) for g in sorted(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -110,9 +99,7 @@ class AlgebraElement:
         c = Fraction(c)
         return AlgebraElement(self.level, {g: c * v for g, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return self.scaled(other)
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out, rights = {}, other.terms.items()
         for g, a in self.terms.items():
@@ -181,8 +168,8 @@ def orbit_sum(g: TreeAutomorphism, acting: SubgroupSpec) -> AlgebraElement:
 
 
 def class_sum(g: TreeAutomorphism) -> AlgebraElement:
-    """Conjugacy-class sum: orbit sum under the full group."""
-    return orbit_sum(g, SubgroupSpec.full())
+    """Conjugacy-class sum: orbit sum under embedded(g.level), the whole group."""
+    return orbit_sum(g, SubgroupSpec.embedded(g.level))
 
 
 def centralizes(x: AlgebraElement, sub: SubgroupSpec) -> bool:

@@ -56,7 +56,7 @@ def _check_centralizers(run, allow_large, rng):
     detail = {}
     for n in (1, 2, 3):
         computed = structure.group_centralizer(n, 1)
-        hat = SubgroupSpec.hat(n).elements(n + 1)
+        hat = SubgroupSpec.hat_chain(n, n).elements(n + 1)
         product = tuple(sorted(
             treegroup.embed_to(z, n + 1) * b
             for z in structure.center_closed_form(n) for b in hat))
@@ -138,11 +138,11 @@ def _check_orbit_stability(run, allow_large, rng):
     for n in (1, 2, 3):
         root = treegroup.beta(n + 1, n + 1)
         small = algebra.orbit(root, SubgroupSpec.embedded(n))
-        big = algebra.orbit(root, SubgroupSpec.full())
+        big = algebra.orbit(root, SubgroupSpec.embedded(n + 1))
         stable = small.elements == big.elements
         central = algebra.centralizes(
             algebra.orbit_sum(root, SubgroupSpec.embedded(n)),
-            SubgroupSpec.full())
+            SubgroupSpec.embedded(n + 1))
         detail[f"n={n}"] = {"orbits_equal": stable, "sum_central": central}
     return all(all(d.values()) for d in detail.values()), detail
 

@@ -60,7 +60,7 @@ def algebra_json(x: algebra.AlgebraElement) -> list:
 
 
 def algebra_text(x: algebra.AlgebraElement) -> str:
-    if x.is_zero():
+    if not x:
         return "0"
     return " + ".join(f"{frac_str(c)}*{g.cycle_string()}"
                       for g, c in x.canonical_terms())

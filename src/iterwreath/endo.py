@@ -236,18 +236,15 @@ def compose_tensor_sums(x: dict, y: dict) -> dict:
 
 
 def end_basis_closure(basis: "EndBasis"):
-    """Whether products of the orbit-sum vectors stay inside their span.
-
-    Algebra products at l = 0, compositions otherwise, read until the first
-    that leaves it: (closed, its (i, j) in row-major order, or None).
+    """Whether compositions of an l > 0 basis' tensor orbit-sum vectors stay
+    inside their span, read until the first that leaves it: (closed, its
+    (i, j) in row-major order, or None).  At l = 0 the vectors are algebra
+    elements: read `structure.algebra_constants(basis.vectors)`.
     """
-    if basis.l == 0:
-        rows = algebra_constants(basis.vectors)
-    else:
-        n = basis.n
-        tensors = _tensor_index(n + basis.k - basis.l, n, n - basis.l)
-        rows = structure_constants(
-            [list(map(tensors.number, vec)) for vec in basis.vectors], tensors.times)
+    n = basis.n
+    tensors = _tensor_index(n + basis.k - basis.l, n, n - basis.l)
+    rows = structure_constants(
+        [list(map(tensors.number, vec)) for vec in basis.vectors], tensors.times)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if cell is None:

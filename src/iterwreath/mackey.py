@@ -43,7 +43,7 @@ def mackey_decomposition(n: int):
     system = double_cosets(n)
     order = group_order(n)
     base = set(SubgroupSpec.embedded(n).elements(n + 1))
-    hat = set(SubgroupSpec.hat(n).elements(n + 1))
+    hat = set(SubgroupSpec.hat_chain(n, n).elements(n + 1))
 
     summands = []
     for rep, coset in zip(system.stated_representatives, system.cosets):

@@ -146,7 +146,7 @@ def _orbit_partition(elements, spec: SubgroupSpec):
 
 def conjugacy_classes(n: int) -> OrbitDecomposition:
     """All conjugacy classes by brute force."""
-    spec = SubgroupSpec.full()
+    spec = SubgroupSpec.embedded(n)
     return OrbitDecomposition(n, _orbit_partition(full_group(n), spec))
 
 
@@ -375,7 +375,7 @@ def double_cosets(n: int) -> CosetSystem:
     gen_tables = [table(t.perm) for t in spec.generators(ambient)]
 
     systems = []
-    for b in SubgroupSpec.hat(n).elements(ambient):
+    for b in SubgroupSpec.hat_chain(n, n).elements(ambient):
         b_table = table(b.perm)
         coset = [y.translate(b_table) for y in base]
         block = set(coset)

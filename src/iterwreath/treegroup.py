@@ -21,9 +21,9 @@ table through which `h.perm` becomes the `perm` of g * h.  Loops over many
 products stay on `perm` bytes and intern only their results:
 `from_perms(level, perms)` returns the element of each, in `rank` order.  All
 functions here are pure; `reset_caches` empties the pool and every
-`element_cache`, such as `full_group`.  `SubgroupSpec` names the full group,
-its embedded copies and the shifted chains hat_chain(lo, hi), of which hat(m)
-is the one-copy case.
+`element_cache`, such as `full_group`.  `SubgroupSpec` names the embedded
+copies, of which the level-n one is the whole level-n group, and the shifted
+chains hat_chain(lo, hi).
 """
 
 from __future__ import annotations
@@ -356,29 +356,21 @@ def reset_caches() -> None:
 
 # --- named standard subgroups ---------------------------------------------
 
-class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
+class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi")):
     """A named standard subgroup of the level-`ambient` group.
 
-    kind "full": the whole group; "embedded": the label-preserving copy of the
-    level-lo group; "hat_chain": the commuting product of the shifted copies
-    of levels lo..hi, the level-m one acting on labels 2**m+1..2**(m+1).
-    hat(m) is the single shifted copy hat_chain(m, m); the identity subgroup
-    is embedded(0).
+    kind "embedded": the label-preserving copy of the level-lo group, so
+    embedded(n) at level n is the whole group and embedded(0) the trivial
+    group; "hat_chain": the commuting product of the shifted copies of levels
+    lo..hi, the level-m one acting on labels 2**m+1..2**(m+1), so
+    hat_chain(m, m) is the single shifted copy.
     """
 
     __slots__ = ()
 
     @classmethod
-    def full(cls) -> "SubgroupSpec":
-        return cls("full")
-
-    @classmethod
     def embedded(cls, m: int) -> "SubgroupSpec":
         return cls("embedded", m, m)
-
-    @classmethod
-    def hat(cls, m: int) -> "SubgroupSpec":
-        return cls.hat_chain(m, m)
 
     @classmethod
     def hat_chain(cls, lo: int, hi: int) -> "SubgroupSpec":
@@ -387,8 +379,6 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
         return cls("hat_chain", lo, hi)
 
     def validate(self, ambient: int) -> None:
-        if self.kind == "full":
-            return
         if self.lo < 0:
             raise ValueError(f"negative subgroup level in {self}")
         needed = self.lo if self.kind == "embedded" else self.hi + 1
@@ -398,8 +388,6 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
     @element_cache  # every orbit walk asks for its acting group's generators
     def generators(self, ambient: int):
         self.validate(ambient)
-        if self.kind == "full":
-            return tuple(beta(ambient, i) for i in range(1, ambient + 1))
         if self.kind == "embedded":
             return tuple(embed_to(beta(self.lo, i), ambient)
                          for i in range(1, self.lo + 1))
@@ -415,8 +403,6 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi", defaults=(0, 0))):
             raise LevelTooLarge(
                 f"subgroup enumeration is capped at ambient level "
                 f"{MAX_ENUM_LEVEL}, got {ambient}")
-        if self.kind == "full":
-            return full_group(ambient)
         ident = _ROTATE[0][:1 << ambient]  # members fix the labels no factor moves
         if self.kind == "embedded":
             return from_perms(ambient, (g.perm + ident[1 << self.lo:]

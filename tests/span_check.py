@@ -13,6 +13,7 @@ from iterwreath import (
     d_generator_table,
     embed_to,
     group_order,
+    identity,
 )
 from iterwreath.structure import class_count
 
@@ -30,15 +31,15 @@ class _Span:
             row = self.rows.get(pivot)
             if row is None:
                 return x
-            x = x - row.scaled(x.coefficient(pivot))
+            x = x - row.scaled(x.terms[pivot])
         return x
 
     def add(self, x: AlgebraElement) -> bool:
         x = self._reduce(x)
-        if x.is_zero():
+        if not x:
             return False
         pivot = min(x.terms)
-        self.rows[pivot] = x.scaled(Fraction(1) / x.coefficient(pivot))
+        self.rows[pivot] = x.scaled(Fraction(1) / x.terms[pivot])
         return True
 
     @property
@@ -49,7 +50,7 @@ class _Span:
 def _generated_algebra_rows(level: int, generators):
     """Linear basis of the unital algebra generated by the given elements."""
     span = _Span(level)
-    one = AlgebraElement.one(level)
+    one = AlgebraElement.of(identity(level))
     span.add(one)
     frontier = [one]
     while frontier:

@@ -31,6 +31,7 @@ from iterwreath import (
     full_group,
     group_centralizer,
     group_order,
+    identity,
     mackey_decomposition,
     opposite_check,
     orbit,
@@ -89,7 +90,7 @@ def test_criterion_04_centralizer(capsys):
     ok = True
     for n in (1, 2, 3):
         computed = group_centralizer(n, 1)
-        hat = SubgroupSpec.hat(n).elements(n + 1)
+        hat = SubgroupSpec.hat_chain(n, n).elements(n + 1)
         product = tuple(sorted(embed_to(z, n + 1) * b
                                for z in center_closed_form(n) for b in hat))
         ok = ok and computed == product and len(computed) == 2 * group_order(n)
@@ -180,7 +181,8 @@ def test_criterion_11_power_identity(capsys):
     o = powers[0]
     odd_ok = all(powers[k - 1] == o.scaled(1 << (k - 1)) for k in (3, 5, 7))
     z = TreeAutomorphism.from_word((0, 1, 1))
-    square = AlgebraElement.one(2).scaled(2) + AlgebraElement.of(z).scaled(2)
+    square = (AlgebraElement.of(identity(2)).scaled(2)
+              + AlgebraElement.of(z).scaled(2))
     square_ok = powers[1] == square
     report(11, odd_ok and square_ok,
            "odd powers collapse to 2^(k-1) * orbit sum for k in {3,5,7}; "
@@ -192,9 +194,9 @@ def test_criterion_12_orbit_stability(capsys):
     for n in (1, 2, 3):
         root = beta(n + 1, n + 1)
         same = (orbit(root, SubgroupSpec.embedded(n)).elements
-                == orbit(root, SubgroupSpec.full()).elements)
+                == orbit(root, SubgroupSpec.embedded(n + 1)).elements)
         central = centralizes(orbit_sum(root, SubgroupSpec.embedded(n)),
-                              SubgroupSpec.full())
+                              SubgroupSpec.embedded(n + 1))
         ok = ok and same and central
     report(12, ok, "root-swap orbit is the same under both conjugation "
                    "actions and its sum is central one level up, n<=3", capsys)

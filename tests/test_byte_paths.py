@@ -29,8 +29,6 @@ from iterwreath.structure import coset_rep_pairs
 
 
 def subgroup_elements_reference(spec, ambient):
-    if spec.kind == "full":
-        return full_group(ambient)
     if spec.kind == "embedded":
         return tuple(sorted(embed_to(g, ambient) for g in full_group(spec.lo)))
     factors = [[embed_to(hat_embed(g), ambient) for g in full_group(m)]
@@ -81,7 +79,7 @@ def right_cosets_reference(n, l):
 def double_cosets_reference(n):
     ambient = n + 1
     base = subgroup_elements_reference(SubgroupSpec.embedded(n), ambient)
-    hat = subgroup_elements_reference(SubgroupSpec.hat(n), ambient)
+    hat = subgroup_elements_reference(SubgroupSpec.hat_chain(n, n), ambient)
     systems = [(tuple(sorted(b * y for y in base)), b) for b in hat]
     root = beta(ambient, ambient)
     big = {x * root * y for x in base for y in base}
@@ -98,8 +96,7 @@ def conjugate_intersection_reference(n, g):
 
 def all_specs(ambient):
     """Every named subgroup that fits in the level-`ambient` group."""
-    return ([SubgroupSpec.full()]
-            + [SubgroupSpec.embedded(m) for m in range(ambient + 1)]
+    return ([SubgroupSpec.embedded(m) for m in range(ambient + 1)]
             + [SubgroupSpec.hat_chain(lo, hi)
                for hi in range(ambient) for lo in range(hi + 1)])
 
@@ -132,10 +129,10 @@ def test_orbit_matches_product_walk(spec, ambient):
 
 
 LEVEL_FOUR_SEEDS = [
-    (beta(4, 4), SubgroupSpec.full()),
+    (beta(4, 4), SubgroupSpec.embedded(4)),
     (beta(4, 4), SubgroupSpec.embedded(3)),
-    (beta(4, 1) * beta(4, 3), SubgroupSpec.full()),
-    (beta_product(4, (1, 2, 3, 4)), SubgroupSpec.full()),
+    (beta(4, 1) * beta(4, 3), SubgroupSpec.embedded(4)),
+    (beta_product(4, (1, 2, 3, 4)), SubgroupSpec.embedded(4)),
     (beta(4, 2) * beta(4, 4), SubgroupSpec.hat_chain(0, 3)),
 ]
 

@@ -279,6 +279,38 @@ def test_battery_check_fails_when_the_command_it_reads_fails(
     assert ok is False
 
 
+def test_verify_all_exits_1_when_one_swept_command_fails(monkeypatch, capsys):
+    handler = _COMMANDS["double-cosets"][0]
+
+    def failing(**params):
+        _, payload, rows = handler(**params)
+        return False, payload, rows
+
+    monkeypatch.setitem(_COMMANDS, "double-cosets",
+                        (failing, *_COMMANDS["double-cosets"][1:]))
+    code, out = run_cli(capsys, "verify-all", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)["payload"]
+    assert payload["failed"] == 1
+    assert [c["check"] for c in payload["checks"] if not c["passed"]] == [
+        "double-cosets"]
+
+
+def test_verify_all_reports_a_verification_error_and_runs_on(monkeypatch, capsys):
+    def raising(**params):
+        raise structure.VerificationError("double cosets: not a partition")
+
+    monkeypatch.setitem(_COMMANDS, "double-cosets",
+                        (raising, *_COMMANDS["double-cosets"][1:]))
+    code, out = run_cli(capsys, "verify-all", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["payload"]["checks"]
+    assert [c["check"] for c in checks] == [name for name, _ in battery._CHECKS]
+    assert [c for c in checks if not c["passed"]] == [
+        {"check": "double-cosets", "passed": False,
+         "detail": {"error": "double cosets: not a partition"}}]
+
+
 # One input just past each cap that the enumeration under the command
 # enforces (full_group, SubgroupSpec.elements, algebra.orbit), and past
 # the ranges that power-table and d-gens check themselves.

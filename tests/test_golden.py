@@ -5,10 +5,11 @@ formats; the bytes must equal the fixtures under tests/golden/.  That
 includes verify-all at its default seed (under 1 s in-process on 2 CPUs).
 JSON sorts its keys, so only its text and csv fixtures pin the order of
 its parameters.  benchmarks/reference holds the --allow-large run.
-tests/golden/end-basis_3_2_1.json (98304 vectors) and end-basis_3_3_2.json
-(1081344 vectors, about 1.5 s on 2 CPUs) are left out of COMMANDS to keep
-this suite short; a CI step byte-compares both, each from a fresh process.
-After an intended output change, recapture with
+JSON_ONLY names end-basis 3 2 1 (98304 vectors) and 3 3 2 (1081344 vectors,
+about 1.5 s on 2 CPUs), which have a JSON fixture only.  This suite leaves
+them out to stay short; CI byte-compares every fixture, these two too, from
+a fresh process.  After an intended output change, recapture every fixture
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -52,14 +53,22 @@ COMMANDS = [
     "opposite-check 0 2",
     "verify-all",
 ]
+JSON_ONLY = ["end-basis 3 2 1", "end-basis 3 3 2"]
+RECAPTURED = ([(command, FORMATS) for command in COMMANDS]
+              + [(command, {"json": "json"}) for command in JSON_ONLY])
 
 
-def rendered(command):
-    """{fixture path: rendered bytes} for one command in every format."""
-    report = dispatch(build_parser().parse_args(command.split()))
+def fixtures(command, formats):
+    """{format: fixture path} for one command."""
     stem = command.replace(" ", "_")
-    return {GOLDEN / f"{stem}.{ext}": render(report, fmt).encode("utf-8")
-            for fmt, ext in FORMATS.items()}
+    return {fmt: GOLDEN / f"{stem}.{ext}" for fmt, ext in formats.items()}
+
+
+def rendered(command, formats=FORMATS):
+    """{fixture path: rendered bytes} for one command in the given formats."""
+    report = dispatch(build_parser().parse_args(command.split()))
+    return {path: render(report, fmt).encode("utf-8")
+            for fmt, path in fixtures(command, formats).items()}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -68,8 +77,15 @@ def test_golden_output(command):
         assert data == path.read_bytes(), f"{path.name} differs"
 
 
+def test_golden_files_are_exactly_the_recaptured_ones():
+    # a fixture the recapture below does not write would go stale unseen
+    recaptured = {path for command, formats in RECAPTURED
+                  for path in fixtures(command, formats).values()}
+    assert set(GOLDEN.iterdir()) == recaptured
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for command in COMMANDS:
-        for path, data in rendered(command).items():
+    for command, formats in RECAPTURED:
+        for path, data in rendered(command, formats).items():
             path.write_bytes(data)

@@ -26,7 +26,7 @@ def test_intersection_at_identity_is_whole_subgroup(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_intersection_at_every_shifted_element_is_whole_subgroup(n):
     base = SubgroupSpec.embedded(n).elements(n + 1)
-    for b in SubgroupSpec.hat(n).elements(n + 1):
+    for b in SubgroupSpec.hat_chain(n, n).elements(n + 1):
         assert conjugate_intersection(n, b) == base
 
 

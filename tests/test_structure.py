@@ -97,7 +97,7 @@ def test_group_centralizer_level_one_explicit():
 def test_group_centralizer_is_center_times_shifted_copy(n):
     computed = group_centralizer(n, 1)
     assert len(computed) == 2 * group_order(n)
-    hat = SubgroupSpec.hat(n).elements(n + 1)
+    hat = SubgroupSpec.hat_chain(n, n).elements(n + 1)
     product = tuple(sorted(embed_to(z, n + 1) * b
                            for z in center_closed_form(n) for b in hat))
     assert computed == product

@@ -128,9 +128,7 @@ def test_generators_are_involutions():
     # the orbit walk conjugates by t * x * t, so every subgroup generator
     # must be an involution
     for ambient in range(1, 5):
-        specs = [SubgroupSpec.full()]
-        specs += [SubgroupSpec.embedded(m) for m in range(ambient + 1)]
-        specs += [SubgroupSpec.hat(m) for m in range(ambient)]
+        specs = [SubgroupSpec.embedded(m) for m in range(ambient + 1)]
         specs += [SubgroupSpec.hat_chain(lo, hi)
                   for hi in range(ambient) for lo in range(hi + 1)]
         for spec in specs:
@@ -423,7 +421,7 @@ def test_full_enumeration_guard():
     with pytest.raises(LevelTooLarge):
         full_group(5)
     with pytest.raises(LevelTooLarge):
-        SubgroupSpec.full().elements(5)
+        SubgroupSpec.embedded(5).elements(5)
     # leaf labels are stored one per byte: levels stop at MAX_BYTE_LEVEL
     assert identity(MAX_BYTE_LEVEL).perm == bytes(range(256))
     root = beta(MAX_BYTE_LEVEL, MAX_BYTE_LEVEL)
@@ -443,7 +441,7 @@ def test_level_one_group():
 
 
 def test_hat_subgroup_elements():
-    got = [g.cycle_string() for g in SubgroupSpec.hat(1).elements(2)]
+    got = [g.cycle_string() for g in SubgroupSpec.hat_chain(1, 1).elements(2)]
     assert got == ["e", "(3 4)"]
 
 
@@ -474,12 +472,12 @@ def test_subgroup_spec_validation():
     with pytest.raises(ValueError):
         SubgroupSpec.embedded(3).elements(2)
     with pytest.raises(ValueError):
-        SubgroupSpec.hat(2).elements(2)
+        SubgroupSpec.hat_chain(2, 2).elements(2)
 
 
 def test_subgroup_generators_generate():
     for spec, ambient in [(SubgroupSpec.embedded(2), 3),
-                          (SubgroupSpec.hat(2), 3),
+                          (SubgroupSpec.hat_chain(2, 2), 3),
                           (SubgroupSpec.hat_chain(1, 2), 3)]:
         gens = spec.generators(ambient)
         closure = set(gens) | {identity(ambient)}
@@ -507,7 +505,6 @@ def test_subgroup_spec_repr_is_the_field_form():
 def test_equal_records_hash_equal():
     assert SubgroupSpec.embedded(2) == SubgroupSpec("embedded", 2, 2)
     assert hash(SubgroupSpec.embedded(2)) == hash(("embedded", 2, 2))
-    assert SubgroupSpec.full() == SubgroupSpec("full", 0, 0)
     g = elem(3, "(1 5 3 7)(2 6 4 8)")
     assert factorize(g, 1) == factorize(g, 1)
     assert hash(factorize(g, 1)) == hash(factorize(g, 1))
@@ -523,8 +520,8 @@ def test_subgroup_spec_methods_can_be_patched_on_the_class(monkeypatch):
         return original(self, ambient)
 
     monkeypatch.setattr(SubgroupSpec, "elements", recording)
-    assert len(SubgroupSpec.hat(1).elements(2)) == 2
-    assert calls == [(SubgroupSpec.hat(1), 2)]
+    assert len(SubgroupSpec.hat_chain(1, 1).elements(2)) == 2
+    assert calls == [(SubgroupSpec.hat_chain(1, 1), 2)]
 
 
 # --- tower factorization ------------------------------------------------------------
@@ -561,8 +558,8 @@ def test_factorize_level_three_exhaustive():
         f = factorize(g, 1)
         assert recompose(f) == g
         assert f.base in set(SubgroupSpec.embedded(1).elements(3))
-        assert f.hats[0] in set(SubgroupSpec.hat(1).elements(3))
-        assert f.hats[1] in set(SubgroupSpec.hat(2).elements(3))
+        assert f.hats[0] in set(SubgroupSpec.hat_chain(1, 1).elements(3))
+        assert f.hats[1] in set(SubgroupSpec.hat_chain(2, 2).elements(3))
         counts[f.indices] = counts.get(f.indices, 0) + 1
         seen.add((f.base, f.hats, f.indices))
     assert counts == {(): 32, (2,): 32, (3,): 32, (2, 3): 32}
