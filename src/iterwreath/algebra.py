@@ -83,13 +83,16 @@ class AlgebraElement:
         return hash((self.level, frozenset(self.terms.items())))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        if not self._compatible(other):
+            return NotImplemented
         out = dict(self.terms)
         for g, c in other.terms.items():
             out[g] = out.get(g, 0) + c
         return AlgebraElement(self.level, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not self._compatible(other):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
@@ -100,7 +103,8 @@ class AlgebraElement:
         return AlgebraElement(self.level, {g: c * v for g, v in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        if not self._compatible(other):
+            return NotImplemented
         out, rights = {}, other.terms.items()
         for g, a in self.terms.items():
             g_table = table(g.perm)  # h.perm through it is g * h
@@ -116,9 +120,14 @@ class AlgebraElement:
         return ({g.perm.translate(table(h.perm)): c for h, c in terms}
                 == {h.perm.translate(g_table): c for h, c in terms})
 
-    def _check(self, other: "AlgebraElement") -> None:
+    def _compatible(self, other) -> bool:
+        """Whether `other` is an element, so that Python can name the operator
+        and both types otherwise; an element of another level is an error."""
+        if not isinstance(other, AlgebraElement):
+            return False
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} and {other.level}")
+        return True
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -16,7 +16,9 @@ or the flags if there are none.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 import time
 from collections import namedtuple
@@ -547,5 +549,20 @@ def main(argv=None) -> int:
     return 0 if report.verdict in ("PASS", "INFO") else 1
 
 
+def entry():
+    """The console script and `-m`: `main` as a one-shot process, whose objects
+    all live until its one report, so the cyclic GC is off and the process
+    ends with `os._exit` once stdout and stderr are flushed, not freeing its
+    caches.  A flush that fails (a closed pipe) exits through `sys.exit`."""
+    gc.disable()
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -16,14 +16,14 @@ of the level below and puts its rank together from theirs.
 images and keeps exactly the maps that preserve the leaf blocks.
 
 Values are immutable and interned in one pool keyed by `perm`, so equality is
-cheap and a product is one `bytes.translate`: `table(g.perm)` is the 256-byte
-table through which `h.perm` becomes the `perm` of g * h.  Loops over many
-products stay on `perm` bytes and intern only their results:
-`from_perms(level, perms)` returns the element of each, in `rank` order.  All
-functions here are pure; `reset_caches` empties the pool and every
-`element_cache`, such as `full_group`.  `SubgroupSpec` names the embedded
-copies, of which the level-n one is the whole level-n group, and the shifted
-chains hat_chain(lo, hi).
+cheap, an element's hash is its rank, and a product is one `bytes.translate`:
+`table(g.perm)` is the 256-byte table through which `h.perm` becomes the
+`perm` of g * h.  Loops over many products stay on `perm` bytes and intern
+only their results: `from_perms(level, perms)` returns the element of each,
+in `rank` order.  All functions here are pure; `reset_caches` empties the
+pool and every `element_cache`, such as `full_group`.  `SubgroupSpec` names
+the embedded copies, of which the level-n one is the whole level-n group,
+and the shifted chains hat_chain(lo, hi).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _leaf_perm(level, word):
 class TreeAutomorphism:
     """Canonical tree automorphism: its leaf permutation, ranked by swap word."""
 
-    __slots__ = ("level", "perm", "rank", "_hash")
+    __slots__ = ("level", "perm", "rank")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use TreeAutomorphism.from_word / identity / beta")
@@ -112,7 +112,9 @@ class TreeAutomorphism:
                                  and self.rank == other.rank)
 
     def __hash__(self) -> int:
-        return self._hash
+        """The rank: hash(g) == hash(g.rank), as a rank is below 2**61 - 1 up
+        to level 5, and from level 6 too wide, so CPython hashes it as an int."""
+        return self.rank
 
     def __lt__(self, other: "TreeAutomorphism") -> bool:
         return self.rank < other.rank
@@ -244,7 +246,6 @@ def _from_perm(level, perm, rank=None):
         g = _pool[perm] = object.__new__(TreeAutomorphism)
         g.level, g.perm = level, perm
         g.rank = rank or int(b"1" + _swap_word(level, perm), 2)
-        g._hash = hash(g.rank)
     return g
 
 

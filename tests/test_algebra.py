@@ -1,4 +1,6 @@
+import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,9 +67,19 @@ def test_level_mismatch_rejected():
     with pytest.raises(LevelMismatch):
         AlgebraElement.of(identity(2)) + AlgebraElement.of(identity(3))
     with pytest.raises(LevelMismatch):
+        AlgebraElement.of(identity(2)) - AlgebraElement.of(identity(3))
+    with pytest.raises(LevelMismatch):
         AlgebraElement.of(identity(2)) * AlgebraElement.of(identity(3))
     with pytest.raises(LevelMismatch):
         AlgebraElement(2, {identity(3): 1})
+
+
+@pytest.mark.parametrize("symbol", "+-*")
+def test_operand_that_is_not_an_element_is_a_type_error(symbol):
+    op = {"+": operator.add, "-": operator.sub, "*": operator.mul}[symbol]
+    message = f"for {symbol}: 'AlgebraElement' and 'int'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        op(root_orbit_sum(1), 2)
 
 
 def test_canonical_terms_sorted_by_word():

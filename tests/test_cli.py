@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, product
@@ -33,6 +34,48 @@ def test_center_json_report(capsys):
     assert [e["cycles"] for e in blob["payload"]["computed"]] == [
         "e", "(1 2)(3 4)"]
     assert [e["word"] for e in blob["payload"]["computed"]] == ["000", "011"]
+
+
+# One `structure` function's replacement, as source, so that a fresh process
+# can rebind it too: the closed-form center with its last element moved one
+# rank on, and a center that raises.
+MUTANTS = {
+    "center_closed_form": "lambda n, f=structure.center_closed_form: f(n)[:-1] + "
+                          "(structure.TreeAutomorphism.from_word("
+                          "bin(f(n)[-1].rank + 1)[3:]),)",
+    "center": "lambda n: 1 // 0",
+}
+
+
+def mutate(monkeypatch, name):
+    monkeypatch.setattr(structure, name,
+                        eval(MUTANTS[name], {"structure": structure}))
+
+
+def test_center_fails_on_a_shifted_closed_form(monkeypatch, capsys):
+    mutate(monkeypatch, "center_closed_form")
+    code, out = run_cli(capsys, "center", "2", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["match"] is False
+    assert [e["word"] for e in blob["payload"]["expected"]] == ["000", "100"]
+    code, out = run_cli(capsys, "center", "2")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL center n=2"
+
+
+def test_classes_fail_on_a_class_count_off_by_one(monkeypatch, capsys):
+    counts = [structure.class_count(n) for n in range(3)]
+    monkeypatch.setattr(structure, "class_count", lambda n: counts[n] + 1)
+    code, out = run_cli(capsys, "classes", "2", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["payload"]["predicted"] == blob["payload"]["count"] + 1 == 6
+    code, out = run_cli(capsys, "classes", "2")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL classes n=2"
 
 
 def test_json_output_is_byte_deterministic(capsys):
@@ -606,19 +649,67 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_console_script_entry_point():
+def fresh_entry(argv, mutant=None):
+    """(exit code, stdout bytes, stderr lines) of a fresh process that runs
+    `cli.entry()`: through `-m` as it is, or after rebinding one mutant."""
     # the child finds the package where this process found it
     package_root = str(Path(iterwreath.__file__).resolve().parents[1])
     path = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "iterwreath.cli", "enumerate", "1",
-         "--format", "json"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    blob = json.loads(proc.stdout)
+    env.pop("PYTHONUNBUFFERED", None)  # so an unflushed report would be lost
+    if mutant is None:
+        start = ["-m", "iterwreath.cli"]
+    else:
+        start = ["-c", "from iterwreath import cli, structure\n"
+                       f"structure.{mutant} = {MUTANTS[mutant]}\ncli.entry()"]
+    proc = subprocess.run([sys.executable, *start, *argv],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.decode().splitlines()
+
+
+ELAPSED = re.compile(r"# elapsed_ms=\d+\.\d")
+
+
+def test_console_script_entry_point(tmp_path, capsys):
+    argv = ["enumerate", "1", "--format", "json"]
+    code, out, err = fresh_entry(argv)
+    assert code == main(argv) == 0
+    assert out == capsys.readouterr().out.encode()
+    assert [ELAPSED.fullmatch(line) is not None for line in err] == [True]
+    blob = json.loads(out)
     assert blob["payload"]["size"] == 2
     assert [e["cycles"] for e in blob["payload"]["elements"]] == ["e", "(1 2)"]
+    # a report past the write buffer still reaches its file whole
+    argv = ["enumerate", "3", "--format", "json"]
+    target = tmp_path / "report.json"
+    code, out, err = fresh_entry([*argv, "--out", str(target)])
+    assert code == main(argv) == 0
+    assert out == b""
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+    assert len(target.read_bytes()) > 8192
+    assert [ELAPSED.fullmatch(line) is not None for line in err] == [True]
+
+
+@pytest.mark.parametrize("argv, mutant, exit_code", [
+    ("center 2", "center_closed_form", 1),
+    ("power-table 9 2", None, 2),
+    ("center 2", "center", 3)])
+def test_entry_exit_code_and_output_match_main(monkeypatch, capsys, argv,
+                                                mutant, exit_code):
+    argv = [*argv.split(), "--format", "json"]
+    code, out, err = fresh_entry(argv, mutant)
+    if mutant is not None:
+        mutate(monkeypatch, mutant)
+    assert code == main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert out == captured.out.encode()
+    assert len(err) == 1
+    if exit_code == 1:
+        assert ELAPSED.fullmatch(err[0])
+    else:  # one guard: or error: line, and no report
+        assert err == captured.err.splitlines()
+        assert err[0].startswith(("guard: ", "error: ")[exit_code - 2])
+        assert out == b""
 
 
 def test_battery_imports_nothing_from_the_cli():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -509,6 +510,17 @@ def test_equal_records_hash_equal():
     assert factorize(g, 1) == factorize(g, 1)
     assert hash(factorize(g, 1)) == hash(factorize(g, 1))
     assert len({factorize(g, 1), factorize(g, 1), factorize(g, 2)}) == 2
+    # an element hashes as its rank, also past the hash width (level 6)
+    wide = TreeAutomorphism.from_word([1] * 63)
+    assert wide.rank > sys.maxsize
+    for h in (*full_group(2), wide):
+        assert hash(h) == hash(h.rank)
+    # a rebuilt element, not the pooled one, still finds its key
+    index = {h: i for i, h in enumerate(full_group(3))}
+    reset_caches()
+    rebuilt = TreeAutomorphism.from_word(g.word)
+    assert rebuilt is not g
+    assert index[rebuilt] == index[g]
 
 
 def test_subgroup_spec_methods_can_be_patched_on_the_class(monkeypatch):
