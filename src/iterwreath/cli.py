@@ -36,7 +36,8 @@ from .treegroup import (
 MAX_LISTED_ELEMENTS = 1024
 MAX_LISTED_VECTORS = 64
 MAX_TABLE_DIMENSION = 12
-MAX_CLASS_COUNT_LEVEL = 30
+# c_16 has 8453 digits, past the 4300 that int-to-str conversion allows
+MAX_CLASS_COUNT_LEVEL = 15
 DEFAULT_SEED = 2024
 
 GUARD_ERRORS = (LevelTooLarge, endo.HomSpaceEmpty, UsageError)

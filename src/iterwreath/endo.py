@@ -18,7 +18,6 @@ and the end-basis vectors a caller reads.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
@@ -47,8 +46,6 @@ from .treegroup import (
     factorize,
     full_group,
     group_order,
-    hat_embed,
-    identity,
     table,
 )
 
@@ -140,8 +137,7 @@ class _TensorIndex:
     def split(self, right: TreeAutomorphism):
         """Renormalize right = y * rep: (rep index, y at the left level)."""
         f = factorize(right, self.b)
-        chain = math.prod(f.hats, start=identity(right.level))
-        return self.rep_index[chain, f.indices], embed_to(f.base, self.m)
+        return self.rep_index[f.chain, f.indices], embed_to(f.base, self.m)
 
     def product(self, r1: int, r2: int):
         """The rep-pair table, filled on use: the split of rep r1 * rep r2."""
@@ -304,11 +300,10 @@ def d_generator_table(n: int, m: int):
     if not n < m <= MAX_ENUM_LEVEL:
         raise UsageError(f"need n < m <= {MAX_ENUM_LEVEL}, got {(n, m)}")
     sub = SubgroupSpec.embedded(n)
-    gens = []
-    for shift in range(m - n):
-        for i in range(1, n + shift + 1):
-            elt = AlgebraElement.of(embed_to(hat_embed(beta(n + shift, i)), m))
-            gens.append((f"b{i}^({shift})", elt))
+    labels = (f"b{i}^({shift})" for shift in range(m - n)
+              for i in range(1, n + shift + 1))
+    gens = [(label, AlgebraElement.of(g)) for label, g in
+            zip(labels, SubgroupSpec.hat_chain(n, m - 1).generators(m))]
     for size in range(1, m - n + 1):
         for indices in combinations(range(n + 1, m + 1), size):
             w = beta_product(m, indices).inverse()

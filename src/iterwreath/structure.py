@@ -333,12 +333,10 @@ def coset_rep_pairs(base: int, ambient: int):
     In (b, I) order, the one order of the transversal: b runs over the chain
     of shifted copies between the two levels by rank, I over the subsets of
     {base+1, ..., ambient} as sorted tuples, and perm is the `perm` of the
-    representative b * beta_product(I).  At ambient == base it is trivial.
+    representative b * beta_product(I).  At ambient == base the chain is
+    empty and the one representative is the identity.
     """
-    if base > ambient:
-        raise ValueError(f"base {base} exceeds ambient {ambient}")
-    chain = (SubgroupSpec.hat_chain(base, ambient - 1).elements(ambient)
-             if base < ambient else (identity(ambient),))
+    chain = SubgroupSpec.hat_chain(base, ambient - 1).elements(ambient)
     betas = sorted((indices, beta_product(ambient, indices).perm)
                    for size in range(ambient - base + 1)
                    for indices in combinations(range(base + 1, ambient + 1), size))

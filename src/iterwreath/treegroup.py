@@ -117,7 +117,10 @@ class TreeAutomorphism:
         return self.rank
 
     def __lt__(self, other: "TreeAutomorphism") -> bool:
-        return self.rank < other.rank
+        try:  # a non-element operand: Python's TypeError names both types
+            return self.rank < other.rank
+        except AttributeError:
+            return NotImplemented
 
     # construction
 
@@ -173,11 +176,15 @@ class TreeAutomorphism:
     # group operations
 
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        # "self after other" on leaf labels.
-        if self.level != other.level:
-            raise LevelMismatch(f"levels {self.level} and {other.level}")
-        perm = other.perm.translate(table(self.perm))
-        return _pool.get(perm) or _from_perm(self.level, perm)
+        # "self after other" on leaf labels; only a non-element operand raises
+        # AttributeError, and a block that ends in the return costs one NOP
+        try:
+            if self.level != other.level:
+                raise LevelMismatch(f"levels {self.level} and {other.level}")
+            perm = other.perm.translate(table(self.perm))
+            return _pool.get(perm) or _from_perm(self.level, perm)
+        except AttributeError:
+            return NotImplemented
 
     def inverse(self) -> "TreeAutomorphism":
         n = 1 << self.level  # maketrans sends perm[i] to i, the inverse
@@ -364,7 +371,8 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi")):
     embedded(n) at level n is the whole group and embedded(0) the trivial
     group; "hat_chain": the commuting product of the shifted copies of levels
     lo..hi, the level-m one acting on labels 2**m+1..2**(m+1), so
-    hat_chain(m, m) is the single shifted copy.
+    hat_chain(m, m) is the single shifted copy and hat_chain(m, m-1) the
+    empty chain, the trivial group.
     """
 
     __slots__ = ()
@@ -375,7 +383,7 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi")):
 
     @classmethod
     def hat_chain(cls, lo: int, hi: int) -> "SubgroupSpec":
-        if lo > hi:
+        if lo > hi + 1:
             raise ValueError(f"chain indices must increase: {lo}..{hi}")
         return cls("hat_chain", lo, hi)
 
@@ -411,19 +419,19 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi")):
         blocks = [[g.perm.translate(_ROTATE[1 << m]) for g in full_group(m)]
                   for m in range(self.lo, self.hi + 1)]
         return from_perms(ambient, (ident[:1 << self.lo] + b"".join(parts)
-                                    + ident[2 << self.hi:]
+                                    + ident[1 << (self.hi + 1):]
                                     for parts in _cartesian(*blocks)))
 
 
 # --- decomposition along the tower ----------------------------------------
 
-class Factorization(namedtuple("Factorization", "base hats indices")):
-    """Unique splitting g = base * hats[0] * ... * hats[-1] * beta_product(I).
+class Factorization(namedtuple("Factorization", "base chain indices")):
+    """Unique splitting g = base * chain * beta_product(indices).
 
-    For g at level a split above level b (see factorize), all parts are
-    embedded at level a: `base` lies in the embedded level-b subgroup, hats[j]
-    in the shifted copy of the level-(b+j) group, and `indices` is a strictly
-    increasing subset of {b+1, ..., a}.
+    For g at level a split above level b (see factorize), all parts are at
+    level a: `base` in the embedded level-b subgroup, `chain` in
+    hat_chain(b, a-1), and `indices` a strictly increasing subset of
+    {b+1, ..., a}; (chain, indices) is the coset's `coset_rep_pairs` key.
     """
 
     __slots__ = ()
@@ -435,21 +443,18 @@ def factorize(g: TreeAutomorphism, base_level: int) -> Factorization:
     Peels one level at a time: an element either avoids the current root swap
     (left subtree carries the lower part, right subtree the shifted factor)
     or contains it, in which case the roles flip and the swap index joins I.
+    The shifted factors, moved onto their label blocks, make the chain.
     """
-    if base_level < 0 or base_level > g.level:
-        raise ValueError(
-            f"base level {base_level} out of range 0..{g.level}")
-    ambient = g.level
-    hats, indices = [], []
-    cur = g
+    if not 0 <= base_level <= g.level:
+        raise ValueError(f"base level {base_level} out of range 0..{g.level}")
+    ambient, cur = g.level, g
+    blocks, indices = [], []
     for m in range(ambient, base_level, -1):
         s, left, right = components(cur)
-        if s == 0:
-            cur, hat = left, right
-        else:
-            cur, hat = right, left
+        cur, hat = (right, left) if s else (left, right)
+        if s:
             indices.append(m)
-        hats.append(embed_to(hat_embed(hat), ambient))
-    hats.reverse()
-    indices.reverse()
-    return Factorization(embed_to(cur, ambient), tuple(hats), tuple(indices))
+        blocks.append(hat.perm.translate(_ROTATE[1 << (m - 1)]))
+    blocks.append(_ROTATE[0][:1 << base_level])  # the labels the chain fixes
+    chain = _from_perm(ambient, b"".join(reversed(blocks)))
+    return Factorization(embed_to(cur, ambient), chain, tuple(reversed(indices)))

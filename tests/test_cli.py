@@ -52,30 +52,106 @@ def mutate(monkeypatch, name):
                         eval(MUTANTS[name], {"structure": structure}))
 
 
-def test_center_fails_on_a_shifted_closed_form(monkeypatch, capsys):
-    mutate(monkeypatch, "center_closed_form")
-    code, out = run_cli(capsys, "center", "2", "--format", "json")
+def assert_fails(capsys, argv, first_line):
+    """`argv` renders FAIL in JSON and in text, exits 1; the JSON payload."""
+    code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
     blob = json.loads(out)
     assert blob["verdict"] == "FAIL"
-    assert blob["payload"]["match"] is False
-    assert [e["word"] for e in blob["payload"]["expected"]] == ["000", "100"]
-    code, out = run_cli(capsys, "center", "2")
+    code, out = run_cli(capsys, *argv)
     assert code == 1
-    assert out.splitlines()[0] == "FAIL center n=2"
+    assert out.splitlines()[0] == first_line
+    return blob["payload"]
+
+
+def test_center_fails_on_a_shifted_closed_form(monkeypatch, capsys):
+    mutate(monkeypatch, "center_closed_form")
+    payload = assert_fails(capsys, ["center", "2"], "FAIL center n=2")
+    assert payload["match"] is False
+    assert [e["word"] for e in payload["expected"]] == ["000", "100"]
 
 
 def test_classes_fail_on_a_class_count_off_by_one(monkeypatch, capsys):
     counts = [structure.class_count(n) for n in range(3)]
     monkeypatch.setattr(structure, "class_count", lambda n: counts[n] + 1)
-    code, out = run_cli(capsys, "classes", "2", "--format", "json")
-    assert code == 1
-    blob = json.loads(out)
-    assert blob["verdict"] == "FAIL"
-    assert blob["payload"]["predicted"] == blob["payload"]["count"] + 1 == 6
-    code, out = run_cli(capsys, "classes", "2")
-    assert code == 1
-    assert out.splitlines()[0] == "FAIL classes n=2"
+    payload = assert_fails(capsys, ["classes", "2"], "FAIL classes n=2")
+    assert payload["predicted"] == payload["count"] + 1 == 6
+
+
+def test_double_cosets_fail_on_a_wrong_coset_size(monkeypatch, capsys):
+    # one element of the big coset moved into the first one: still a
+    # partition of A_2, so only the size comparison can see it
+    original = structure.double_cosets
+
+    def moved(n):
+        system = original(n)
+        cosets = [[g.perm for g in coset] for coset in system.cosets]
+        cosets[0].append(max(cosets, key=len).pop())
+        reps = [r.perm for r in system.stated_representatives]
+        return structure.CosetSystem(lambda: zip(cosets, reps),
+                                     system.ambient_level, "double cosets")
+
+    monkeypatch.setattr(structure, "double_cosets", moved)
+    payload = assert_fails(capsys, ["double-cosets", "1"], "FAIL double-cosets n=1")
+    assert sorted(payload["sizes"]) == [2, 3, 3]
+    assert payload["count"] == payload["expected_count"] == 3
+
+
+def test_orbits_fail_on_a_prediction_off_by_one(monkeypatch, capsys):
+    original = structure.predicted_orbit_count
+    monkeypatch.setattr(structure, "predicted_orbit_count",
+                        lambda n, k: original(n, k) + 1)
+    payload = assert_fails(capsys, ["orbits", "1", "1"], "FAIL orbits n=1 k=1")
+    assert payload["predicted_corrected"] == payload["count"] + 1 == 7
+    assert payload["matches_corrected"] is False
+
+
+def test_centralizer_basis_fails_on_a_vector_that_does_not_centralize(
+        monkeypatch, capsys):
+    # the root swap alone: conjugating it by (1 2) moves it
+    original = structure.centralizer_algebra_basis
+
+    def replaced(n, k):
+        basis = original(n, k)
+        return (*basis[:-1], AlgebraElement.of(beta(n + k, n + k)))
+
+    monkeypatch.setattr(structure, "centralizer_algebra_basis", replaced)
+    payload = assert_fails(capsys, ["centralizer-basis", "1", "2"],
+                           "FAIL centralizer-basis n=1 k=2")
+    assert payload["all_centralize"] is False
+    assert payload["closure_checked"] is None
+
+
+def test_presentation_fails_on_a_relation_that_fails(monkeypatch, capsys):
+    original = structure.check_presentation
+
+    def broken(n):
+        report = original(n)
+        first, *rest = report.instances
+        return report._replace(instances=(first._replace(holds=False), *rest))
+
+    monkeypatch.setattr(structure, "check_presentation", broken)
+    payload = assert_fails(capsys, ["presentation", "2"], "FAIL presentation n=2")
+    assert payload["failures"] == [[1, [1]]]
+
+
+def test_opposite_check_fails_on_a_perturbed_right_table(monkeypatch, capsys):
+    # endo's binding is the right table's alone: the left one goes through
+    # structure.algebra_constants
+    original = endo.structure_constants
+
+    def perturbed(supports, times):
+        rows = [list(row) for row in original(supports, times)]
+        rows[0][0] = {o: c + 1 for o, c in rows[0][0].items()}
+        return rows
+
+    monkeypatch.setattr(endo, "structure_constants", perturbed)
+    payload = assert_fails(capsys, ["opposite-check", "1", "1"],
+                           "FAIL opposite-check n=1 k=1")
+    assert payload["closure_ok"] is True
+    assert payload["transpose_ok"] is False
+    left, right = payload["left_constants"], payload["right_constants"]
+    assert left[0][0] != right[0][0]  # a diagonal cell is its own transpose
 
 
 def test_json_output_is_byte_deterministic(capsys):
@@ -102,6 +178,20 @@ def test_class_count_info(capsys):
     blob = json.loads(out)
     assert blob["verdict"] == "INFO"
     assert blob["payload"]["value"] == 230
+
+
+def test_class_count_cap_sits_below_the_int_to_string_limit(capsys):
+    # c_15 has 4227 digits; c_16 has more than the 4300 digits that Python
+    # (3.10.7+, 3.11) converts to a string, and the grid never reaches either
+    value = str(structure.class_count(15))
+    for fmt in ("json", "text", "csv"):
+        code, out = run_cli(capsys, "class-count", "15", "--format", fmt)
+        assert code == 0
+        assert value in out
+        assert main(["class-count", "16", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "guard: class-count capped at n = 15\n"
 
 
 def test_orbits_csv_has_one_row_per_orbit(capsys):

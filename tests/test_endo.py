@@ -169,7 +169,7 @@ def test_action_restricted_to_base_subgroup_is_plain_conjugation():
             image = conj_action_tensor(h, t)
             split = factorize(h * t.coset_rep() * h.inverse(), 1)
             assert image.left == h * t.left * h.inverse() * split.base
-            assert image.coset_b == split.hats[0]
+            assert image.coset_b == split.chain
             assert image.coset_indices == split.indices
 
 

@@ -1,5 +1,5 @@
-import math
 import random
+import re
 import sys
 from functools import lru_cache
 from itertools import product
@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from iterwreath import (
+    AlgebraElement,
     LevelMismatch,
     LevelTooLarge,
     NotATreeAutomorphism,
@@ -23,7 +24,8 @@ from iterwreath import (
     perm_embed,
 )
 from iterwreath import treegroup
-from iterwreath.treegroup import MAX_BYTE_LEVEL, _swap_word, reset_caches
+from iterwreath.structure import coset_rep_pairs
+from iterwreath.treegroup import MAX_BYTE_LEVEL, MAX_ENUM_LEVEL, _swap_word, reset_caches
 
 from cycle_notation import elem, images
 
@@ -153,6 +155,19 @@ def test_level_two_group_is_closed():
 def test_multiply_level_mismatch():
     with pytest.raises(LevelMismatch):
         beta(2, 1) * beta(3, 1)
+
+
+@pytest.mark.parametrize("operand", [2, None, AlgebraElement.of(beta(2, 1))],
+                         ids=["int", "none", "algebra-element"])
+def test_operand_that_is_not_an_element_is_a_type_error(operand):
+    g = beta(2, 1)
+    kind = type(operand).__name__
+    with pytest.raises(TypeError, match=re.escape(
+            f"for *: 'TreeAutomorphism' and '{kind}'")):
+        g * operand
+    with pytest.raises(TypeError, match=re.escape(
+            f"'<' not supported between instances of 'TreeAutomorphism' and '{kind}'")):
+        g < operand
 
 
 def test_inverse_examples():
@@ -539,22 +554,21 @@ def test_subgroup_spec_methods_can_be_patched_on_the_class(monkeypatch):
 # --- tower factorization ------------------------------------------------------------
 
 def recompose(f):
-    """base * hats[0] * ... * hats[-1] * beta_product(indices), by definition."""
-    level = f.base.level
-    return math.prod(f.hats, start=f.base) * beta_product(level, f.indices)
+    """base * chain * beta_product(indices), by definition."""
+    return f.base * f.chain * beta_product(f.base.level, f.indices)
 
 
 def test_factorize_identity():
     f = factorize(identity(3), 1)
     assert f.base == identity(3)
-    assert all(h.is_identity for h in f.hats)
+    assert f.chain == identity(3)
     assert f.indices == ()
 
 
 def test_factorize_root_swap():
     f = factorize(beta(2, 2), 1)
     assert f.base == identity(2)
-    assert [h.cycle_string() for h in f.hats] == ["e"]
+    assert f.chain.cycle_string() == "e"
     assert f.indices == (2,)
 
 
@@ -570,10 +584,9 @@ def test_factorize_level_three_exhaustive():
         f = factorize(g, 1)
         assert recompose(f) == g
         assert f.base in set(SubgroupSpec.embedded(1).elements(3))
-        assert f.hats[0] in set(SubgroupSpec.hat_chain(1, 1).elements(3))
-        assert f.hats[1] in set(SubgroupSpec.hat_chain(2, 2).elements(3))
+        assert f.chain in set(SubgroupSpec.hat_chain(1, 2).elements(3))
         counts[f.indices] = counts.get(f.indices, 0) + 1
-        seen.add((f.base, f.hats, f.indices))
+        seen.add((f.base, f.chain, f.indices))
     assert counts == {(): 32, (2,): 32, (3,): 32, (2, 3): 32}
     assert len(seen) == 128  # the splitting is unique
 
@@ -582,6 +595,30 @@ def test_factorize_level_three_exhaustive():
 def test_factorize_recompose_roundtrip(n, l):
     for g in full_group(n + l + 1):
         assert recompose(factorize(g, n)) == g
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_factorize_names_the_transversal_coset(level):
+    # (chain, I) is a (b, I) key of the transversal, and g = base * its rep
+    for base in range(level + 1):
+        reps = {(b, indices): rep for b, indices, rep in coset_rep_pairs(base, level)}
+        embedded = set(SubgroupSpec.embedded(base).elements(level))
+        for g in full_group(level):
+            f = factorize(g, base)
+            rep = reps[f.chain, f.indices]
+            assert f.base in embedded
+            assert g.perm == rep.translate(treegroup.table(f.base.perm))
+
+
+def test_empty_hat_chain_is_the_trivial_group():
+    for ambient in range(MAX_ENUM_LEVEL + 1):
+        for b in range(ambient + 1):
+            chain = SubgroupSpec.hat_chain(b, b - 1)
+            assert chain.elements(ambient) == (identity(ambient),)
+            assert chain.generators(ambient) == ()
+    for b in range(4):
+        with pytest.raises(ValueError, match="chain indices must increase"):
+            SubgroupSpec.hat_chain(b, b - 2)
 
 
 # --- group axioms ----------------------------------------------------------------
