@@ -3,9 +3,11 @@
 Elements are finite linear combinations of tree automorphisms at a fixed
 level with exact rational coefficients: a coefficient is a Python int when
 it is integral and a Fraction otherwise, so products of orbit sums run on
-integer arithmetic.  Zero coefficients are never stored, and term
-iteration is in canonical swap-word order, so serialized output is
-byte-deterministic.
+integer arithmetic.  `fractions` is imported in `_rational` alone, the first
+time a coefficient that is not an int is normalised, so a process whose
+coefficients are all ints never loads it (nor `decimal` and `numbers`).
+Zero coefficients are never stored, and term iteration is in canonical
+swap-word order, so serialized output is byte-deterministic.
 
 A product accumulates its coefficients on the `perm` bytes of each term
 pair's product, whose hash is computed once, in C, and interns each
@@ -16,7 +18,6 @@ first occur.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .treegroup import (
     MAX_ENUM_LEVEL,
@@ -31,6 +32,14 @@ from .treegroup import (
 )
 
 
+def _rational(c):
+    """c as an exact rational: an int when integral, else a Fraction."""
+    from fractions import Fraction
+
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class AlgebraElement:
     """Exact rational linear combination of same-level tree automorphisms."""
 
@@ -42,8 +51,8 @@ class AlgebraElement:
             if g.level != level:
                 raise LevelMismatch(
                     f"term {g!r} has level {g.level}, expected {level}")
-            if type(c) is not int and (c := Fraction(c)).denominator == 1:
-                c = c.numerator
+            if type(c) is not int:
+                c = _rational(c)
             if c:
                 clean[g] = c
         self.level = level
@@ -99,7 +108,8 @@ class AlgebraElement:
         return AlgebraElement(self.level, {g: -c for g, c in self.terms.items()})
 
     def scaled(self, c) -> "AlgebraElement":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _rational(c)
         return AlgebraElement(self.level, {g: c * v for g, v in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":

@@ -474,19 +474,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage: {self.prog}: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of `argv`: when argv[0] names a subcommand, only that
+    subparser is registered, since a process parses one command line; for
+    anything else (help, a typo, none, no `argv`) every one is."""
     parser = _Parser(
         prog="iterwreath",
         description="Exact verification tables for the binary-tree "
                     "automorphism tower.")
-    output = argparse.ArgumentParser(add_help=False)  # shared by every subcommand
-    output.add_argument("--format", choices=("json", "csv", "text"),
-                        default="text")
-    output.add_argument("--out", default=None,
-                        help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, _, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, parents=[output])
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        p = sub.add_parser(name, help=_COMMANDS[name][3])
+        p.add_argument("--format", choices=("json", "csv", "text"),
+                       default="text")
+        p.add_argument("--out", default=None,
+                       help="write the report to this path instead of stdout")
         for arg in _positionals(name):
             p.add_argument(arg, type=int)
         if "allow_large" in _flags(name):
@@ -522,7 +525,8 @@ def dispatch(args) -> Report:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         report = dispatch(args)
     except GUARD_ERRORS as exc:

@@ -295,10 +295,12 @@ class CosetSystem:
     `systems()` yields (coset, stated representative) pairs, each coset a
     sequence of `perm` bytes and its representative the perm of a member.
     The one check of the coset layer runs at once: the perms, repeats kept,
-    are the |A| distinct elements.  The ordering, built on first read, interns
-    the cosets and then their representatives: `representatives` are the coset
-    minima (sorted), and `stated_representatives`, the generated products whose
-    completeness the construction asserts, are aligned with `cosets`.
+    are the |A| distinct elements.  The ordering, built on first read, builds
+    `full_group(ambient)`, which ranks each element from its halves instead of
+    reading its swap word, and takes the cosets and their representatives from
+    the pool: `representatives` are the coset minima (sorted), and
+    `stated_representatives`, the generated products whose completeness the
+    construction asserts, are aligned with `cosets`.
     """
 
     def __init__(self, systems, ambient: int, label: str):
@@ -315,6 +317,7 @@ class CosetSystem:
 
     @cached_property
     def _ordered(self):
+        full_group(self.ambient_level)  # the cosets cover it
         systems = sorted(((from_perms(self.ambient_level, coset), rep)
                           for coset, rep in self._systems()),
                          key=lambda system: system[0][0].rank)

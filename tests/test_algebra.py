@@ -216,6 +216,11 @@ def test_scaling_by_a_third_keeps_a_fraction():
     assert all(type(c) is Fraction and c == Fraction(1, 3) for c in x.terms.values())
     assert all(type(c) is int for c in x.scaled(3).terms.values())
     assert x.scaled(3) == root_orbit_sum(1)
+    assert all(type(c) is int and c == 3
+               for c in root_orbit_sum(1).scaled(3).terms.values())
+    y = AlgebraElement(2, {identity(2): Fraction(1, 3), beta(2, 1): 0.5})
+    assert [(type(c), c) for c in y.terms.values()] == [
+        (Fraction, Fraction(1, 3)), (Fraction, Fraction(1, 2))]
 
 
 # --- orbits -----------------------------------------------------------------------

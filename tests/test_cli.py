@@ -739,9 +739,10 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def fresh_entry(argv, mutant=None):
+def fresh_entry(argv, mutant=None, options=()):
     """(exit code, stdout bytes, stderr lines) of a fresh process that runs
-    `cli.entry()`: through `-m` as it is, or after rebinding one mutant."""
+    `cli.entry()`: through `-m` as it is, or after rebinding one mutant; the
+    interpreter takes `options`."""
     # the child finds the package where this process found it
     package_root = str(Path(iterwreath.__file__).resolve().parents[1])
     path = [package_root, os.environ.get("PYTHONPATH", "")]
@@ -752,7 +753,7 @@ def fresh_entry(argv, mutant=None):
     else:
         start = ["-c", "from iterwreath import cli, structure\n"
                        f"structure.{mutant} = {MUTANTS[mutant]}\ncli.entry()"]
-    proc = subprocess.run([sys.executable, *start, *argv],
+    proc = subprocess.run([sys.executable, *options, *start, *argv],
                           capture_output=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr.decode().splitlines()
 
@@ -828,3 +829,44 @@ def test_cold_start_imports_stay_small():
     assert "iterwreath.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "csv",
                          "iterwreath.battery"}
+
+
+def test_a_one_shot_command_with_int_coefficients_loads_no_fractions():
+    code, out, err = fresh_entry(["end-basis", "2", "2", "2", "--format", "json"],
+                                 options=["-X", "importtime"])
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    imported = {line.rsplit("|", 1)[1].strip() for line in err
+                if line.startswith("import time:")}
+    assert "iterwreath.algebra" in imported
+    assert not imported & {"fractions", "decimal"}
+
+
+def test_fractions_are_imported_with_the_first_fraction():
+    package_root = str(Path(iterwreath.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from iterwreath import SubgroupSpec, beta, orbit_sum\n"
+            "x = orbit_sum(beta(2, 1), SubgroupSpec.embedded(2))\n"
+            "y = (x * x).scaled(3) - x\n"
+            "print(*sorted({type(c).__name__ for c in y.terms.values()}),"
+            " 'fractions' in sys.modules)\n"
+            "y = y.scaled(0.5)\n"
+            "print(*sorted({type(c).__name__ for c in y.terms.values()}),"
+            " 'fractions' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["int False", "Fraction int True"]
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "1"], ["verify-all"],
+                                  ["end-basis", "--help"]])
+def test_a_command_line_registers_only_its_subcommand(argv):
+    (choices,) = (a.choices for a in build_parser(argv)._subparsers._group_actions)
+    assert list(choices) == argv[:1]
+
+
+@pytest.mark.parametrize("argv", [None, [], ["--help"], ["no-such-command"],
+                                  ["-h", "enumerate"]])
+def test_help_a_typo_or_no_command_registers_every_subcommand(argv):
+    (choices,) = (a.choices for a in build_parser(argv)._subparsers._group_actions)
+    assert list(choices) == list(_COMMANDS)

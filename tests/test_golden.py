@@ -8,17 +8,26 @@ its parameters.  benchmarks/reference holds the --allow-large run.
 JSON_ONLY names end-basis 3 2 1 (98304 vectors) and 3 3 2 (1081344 vectors,
 about 1.5 s on 2 CPUs), which have a JSON fixture only.  This suite leaves
 them out to stay short; CI byte-compares every fixture, these two too, from
-a fresh process.  After an intended output change, recapture every fixture
-with
+a fresh process.  usage.json holds what `main` prints, at COLUMNS=80, for
+the top-level --help, no argument and an unknown command, and for each
+subcommand its --help and one usage error (a non-int positional, or
+`--seed x`): the exit code, stdout and stderr of each.  After an intended
+output change, recapture every fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from iterwreath.cli import build_parser, dispatch, render
+from iterwreath.cli import (_COMMANDS, _positionals, build_parser, dispatch, main,
+                            render)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = {"json": "json", "csv": "csv", "text": "txt"}
@@ -56,6 +65,7 @@ COMMANDS = [
 JSON_ONLY = ["end-basis 3 2 1", "end-basis 3 3 2"]
 RECAPTURED = ([(command, FORMATS) for command in COMMANDS]
               + [(command, {"json": "json"}) for command in JSON_ONLY])
+USAGE = GOLDEN / "usage.json"
 
 
 def fixtures(command, formats):
@@ -71,6 +81,31 @@ def rendered(command, formats=FORMATS):
             for fmt, path in fixtures(command, formats).items()}
 
 
+def usage_argvs():
+    """Every argument list that usage.json holds, in its order."""
+    argvs = [["--help"], [], ["no-such-command"]]
+    for name in _COMMANDS:
+        positionals = _positionals(name)
+        wrong = ["x", *["1"] * (len(positionals) - 1)] if positionals else [
+            "--seed", "x"]
+        argvs += [[name, "--help"], [name, *wrong]]
+    return argvs
+
+
+def rendered_usage():
+    """usage.json's bytes: `main`'s exit code, stdout and stderr per list."""
+    cases = []
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for argv in usage_argvs():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), \
+                    pytest.raises(SystemExit) as exc:
+                main(argv)
+            cases.append({"argv": argv, "exit": exc.value.code,
+                          "stdout": out.getvalue(), "stderr": err.getvalue()})
+    return (json.dumps(cases, indent=2) + "\n").encode("utf-8")
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_output(command):
     for path, data in rendered(command).items():
@@ -81,7 +116,11 @@ def test_golden_files_are_exactly_the_recaptured_ones():
     # a fixture the recapture below does not write would go stale unseen
     recaptured = {path for command, formats in RECAPTURED
                   for path in fixtures(command, formats).values()}
-    assert set(GOLDEN.iterdir()) == recaptured
+    assert set(GOLDEN.iterdir()) == recaptured | {USAGE}
+
+
+def test_help_and_usage_errors():
+    assert rendered_usage() == USAGE.read_bytes()
 
 
 if __name__ == "__main__":
@@ -89,3 +128,4 @@ if __name__ == "__main__":
     for command, formats in RECAPTURED:
         for path, data in rendered(command, formats).items():
             path.write_bytes(data)
+    USAGE.write_bytes(rendered_usage())
