@@ -302,7 +302,9 @@ def _cmd_end_basis(n, k, l):
     if eb.dimension > MAX_LISTED_VECTORS:
         return ok, payload, _placeholder(eb.dimension, "vectors", "", "")
     if l > 0:
-        payload["products_within_span"], _ = endo.end_basis_closure(eb)
+        payload["products_within_span"], witness = endo.end_basis_closure(eb)
+        if witness:  # (i, j): basis vector i composed with vector j
+            payload["first_product_outside_span"] = list(witness)
         ok = ok and payload["products_within_span"]
     rows, payload["vectors"] = [], []
     for i, vec in enumerate(eb.vectors):

@@ -123,8 +123,7 @@ class OrbitLabel(namedtuple("OrbitLabel", "kind base indices shift")):
     __slots__ = ()
 
 
-class OrbitDecomposition(namedtuple("OrbitDecomposition",
-                                    "ambient_level orbits labels",
+class OrbitDecomposition(namedtuple("OrbitDecomposition", "orbits labels",
                                     defaults=(None,))):
     __slots__ = ()
 
@@ -133,11 +132,12 @@ class OrbitDecomposition(namedtuple("OrbitDecomposition",
         return len(self.orbits)
 
 
-def _orbit_partition(elements, spec: SubgroupSpec):
-    """Partition into conjugation orbits, in order of their first element."""
+def _orbit_partition(n: int, ambient: int):
+    """Level-n conjugation orbits on full_group(ambient), by least element."""
+    spec = SubgroupSpec.embedded(n)
     seen = set()
     orbits = []
-    for seed in elements:
+    for seed in full_group(ambient):
         if seed not in seen:
             orbits.append(orbit(seed, spec))
             seen.update(orbits[-1].elements)
@@ -146,31 +146,24 @@ def _orbit_partition(elements, spec: SubgroupSpec):
 
 def conjugacy_classes(n: int) -> OrbitDecomposition:
     """All conjugacy classes by brute force."""
-    spec = SubgroupSpec.embedded(n)
-    return OrbitDecomposition(n, _orbit_partition(full_group(n), spec))
+    return OrbitDecomposition(_orbit_partition(n, n))
 
 
 def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
     """Orbits of level-n conjugation on the level-(n+k) group, with labels.
 
     Each orbit is labeled either (class of g) * h or (orbit of a descending
-    generator product) * h; the labeling is re-checked to hit every computed
-    orbit exactly once.
+    generator product) * h, re-checked to hit every orbit exactly once; at
+    k = 0 the orbits are the classes.  Only the `orbits` report reads this:
+    the orbit-sum bases take the bare partition.
     """
-    ambient = n + k
-    if k == 0:
-        classes = conjugacy_classes(n)
-        labels = tuple(OrbitLabel("class", o.representative, (), identity(n))
-                       for o in classes.orbits)
-        return OrbitDecomposition(n, classes.orbits, labels)
-
-    spec = SubgroupSpec.embedded(n)
-    orbits = _orbit_partition(full_group(ambient), spec)
+    ambient, spec = n + k, SubgroupSpec.embedded(n)
+    classes = conjugacy_classes(n)
+    orbits = _orbit_partition(n, ambient) if k else classes.orbits
     orbit_of = {g.perm: i for i, o in enumerate(orbits) for g in o.elements}
 
     # a label's set is (elements) * h, as the perm bytes of each product
     shifts = SubgroupSpec.hat_chain(n, ambient - 1).elements(ambient)
-    classes = conjugacy_classes(n)
     label_sets = []
     for cls in classes.orbits:
         tables = [table(embed_to(x, ambient).perm) for x in cls.elements]
@@ -197,18 +190,18 @@ def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
         assigned[idx] = label
     if any(lab is None for lab in assigned):
         raise VerificationError("structured labeling misses some orbits")
-    return OrbitDecomposition(ambient, orbits, tuple(assigned))
+    return OrbitDecomposition(orbits, tuple(assigned))
 
 
 def centralizer_algebra_basis(n: int, k: int):
     """Orbit sums of the level-n conjugation action: a centralizer basis.
 
+    From the bare orbit partition; only orbit_decomposition checks labels.
     Linear independence is free (disjoint supports); commutation with the
     embedded subgroup is re-checked by callers and tests.
     """
-    decomp = orbit_decomposition(n, k)
-    return tuple(AlgebraElement.from_elements(decomp.ambient_level, o.elements)
-                 for o in decomp.orbits)
+    return tuple(AlgebraElement.from_elements(n + k, o.elements)
+                 for o in _orbit_partition(n, n + k))
 
 
 def orbit_index(supports):

@@ -13,8 +13,8 @@ import pytest
 
 import iterwreath
 from iterwreath import (AlgebraElement, SubgroupSpec, battery, beta,
-                        beta_product, cli, endo, group_order, mackey, structure,
-                        treegroup)
+                        beta_product, cli, endo, group_order, identity, mackey,
+                        structure, treegroup)
 from iterwreath.cli import _COMMANDS, _flags, _positionals, build_parser, main
 from iterwreath.treegroup import reset_caches
 
@@ -104,6 +104,22 @@ def test_orbits_fail_on_a_prediction_off_by_one(monkeypatch, capsys):
     payload = assert_fails(capsys, ["orbits", "1", "1"], "FAIL orbits n=1 k=1")
     assert payload["predicted_corrected"] == payload["count"] + 1 == 7
     assert payload["matches_corrected"] is False
+
+
+def test_a_label_defect_fails_the_orbits_report_alone(monkeypatch, capsys):
+    # every class label built on the identity: labels repeat, while the bare
+    # orbit partition that the orbit-sum bases read does not move
+    monkeypatch.setattr(structure, "embed_to", lambda g, level: identity(level))
+    code, out = run_cli(capsys, "orbits", "1", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["payload"]["error"] == "orbit e labeled twice"
+    for argv in (["centralizer-basis", "1", "2"], ["end-basis", "1", "2", "0"],
+                 ["opposite-check", "1", "2"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    code, out = run_cli(capsys, "verify-all", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["payload"]["checks"]
+    assert [c["check"] for c in checks if not c["passed"]] == ["orbit-counts"]
 
 
 def test_centralizer_basis_fails_on_a_vector_that_does_not_centralize(
@@ -689,6 +705,9 @@ def test_end_basis_closure_failure_fails_the_verdict(monkeypatch, capsys):
     assert blob["verdict"] == "FAIL"
     assert blob["payload"]["products_within_span"] is False
     assert blob["payload"]["index_change_count"] == 0
+    closed, witness = endo.end_basis_closure(merged(2, 1, 1))
+    assert not closed
+    assert blob["payload"]["first_product_outside_span"] == list(witness)
 
 
 def test_d_gens_commutation_failure_fails_the_verdict(monkeypatch, capsys):

@@ -43,6 +43,7 @@ COMMANDS = [
     "right-cosets 3 0",
     "right-cosets 1 2",
     "double-cosets 2",
+    "orbits 3 0",
     "orbits 1 2",
     "orbits 2 1",
     "centralizer-basis 1 1",
