@@ -2,7 +2,8 @@
 
 Output contract: identical invocations produce identical bytes.  Exit code 0
 means every checked claim passed (or the command is purely informational),
-1 means a claim failed and the report names the first witness, 2 means a
+1 means a claim failed (the JSON payload names the first witness; text
+prints the verdict line and the table, csv the table alone), 2 means a
 usage or resource-guard violation, and 3 means the program itself failed (one
 `error:` line on stderr).  Wall-clock timing goes to stderr only.
 

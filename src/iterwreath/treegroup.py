@@ -278,9 +278,7 @@ def beta_product(level: int, indices) -> TreeAutomorphism:
 
 def perm_embed(g: TreeAutomorphism) -> TreeAutomorphism:
     """Inclusion into the next level fixing the new labels 2**n+1..2**(n+1)."""
-    _check_level(g.level + 1)
-    h = len(g.perm)
-    return _from_perm(g.level + 1, g.perm + _ROTATE[h][:h])
+    return embed_to(g, g.level + 1)
 
 
 def hat_embed(g: TreeAutomorphism) -> TreeAutomorphism:
@@ -291,12 +289,11 @@ def hat_embed(g: TreeAutomorphism) -> TreeAutomorphism:
 
 
 def embed_to(g: TreeAutomorphism, level: int) -> TreeAutomorphism:
-    """Iterated label-preserving inclusion up to the given level."""
+    """Label-preserving inclusion into the given level, fixing every new label."""
     if level < g.level:
         raise ValueError(f"cannot embed level {g.level} down to {level}")
-    while g.level < level:
-        g = perm_embed(g)
-    return g
+    _check_level(level)
+    return _from_perm(level, g.perm + _ROTATE[0][len(g.perm):1 << level])
 
 
 def components(g: TreeAutomorphism):
@@ -412,10 +409,9 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "kind lo hi")):
             raise LevelTooLarge(
                 f"subgroup enumeration is capped at ambient level "
                 f"{MAX_ENUM_LEVEL}, got {ambient}")
+        if self.kind == "embedded":  # embedding keeps rank order
+            return tuple(embed_to(g, ambient) for g in full_group(self.lo))
         ident = _ROTATE[0][:1 << ambient]  # members fix the labels no factor moves
-        if self.kind == "embedded":
-            return from_perms(ambient, (g.perm + ident[1 << self.lo:]
-                                        for g in full_group(self.lo)))
         blocks = [[g.perm.translate(_ROTATE[1 << m]) for g in full_group(m)]
                   for m in range(self.lo, self.hi + 1)]
         return from_perms(ambient, (ident[:1 << self.lo] + b"".join(parts)

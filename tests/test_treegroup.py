@@ -655,3 +655,12 @@ def test_embed_to_and_power():
     assert w * w * w * w == identity(2)
     with pytest.raises(ValueError):
         embed_to(beta(3, 1), 2)
+    # one step: only the target is interned, no level in between
+    reset_caches()
+    g = beta(1, 1)
+    lifted = embed_to(g, 4)
+    assert lifted.perm == g.perm + bytes(range(2, 16))
+    assert embed_to(g, g.level) is g and embed_to(lifted, 4) is lifted
+    with pytest.raises(LevelTooLarge):
+        embed_to(g, MAX_BYTE_LEVEL + 1)
+    assert {len(p) for p in treegroup._pool} == {2, 16}
