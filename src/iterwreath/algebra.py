@@ -18,6 +18,7 @@ first occur.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import filterfalse
 
 from .treegroup import (
     MAX_ENUM_LEVEL,
@@ -156,29 +157,34 @@ class Orbit(namedtuple("Orbit", "representative elements")):
         return len(self.elements)
 
 
-def orbit(g: TreeAutomorphism, acting: SubgroupSpec) -> Orbit:
-    """Closure of {g} under conjugation by the acting subgroup.
+def _label_orbits(level, acting, seeds, labels) -> int:
+    """The frontier walk: each `perm` seed not yet in `labels`, in order, walks
+    the conjugation graph of the subgroup's generators (embedded single swaps,
+    so t * x * t conjugates) and labels each perm it reaches with its orbit's
+    number, counted from 0 in this call.  Returns the number of orbits."""
+    gens = [(t.perm, table(t.perm)) for t in acting.generators(level)]
+    count = 0
+    for seed in filterfalse(labels.__contains__, seeds):
+        labels[seed], frontier = count, [seed]
+        while frontier:
+            x_table = frontier.pop().ljust(256, b"\0")  # t through it is x * t
+            for t, t_table in gens:
+                y = t.translate(x_table).translate(t_table)
+                if y not in labels:
+                    labels[y] = count
+                    frontier.append(y)
+        count += 1
+    return count
 
-    Walks the conjugation graph spanned by the subgroup's generators only;
-    that suffices because generators generate.  Every generator is an
-    embedded single swap, hence an involution, so t * x * t conjugates.
-    The walk runs on `perm` bytes and interns only the orbit it finds.
-    """
+
+def orbit(g: TreeAutomorphism, acting: SubgroupSpec) -> Orbit:
+    """Closure of {g} under conjugation by the acting subgroup: one
+    `_label_orbits` walk into a fresh dict, interning only the orbit found."""
     level = g.level
     if level > MAX_ENUM_LEVEL:
         raise LevelTooLarge(f"orbit computation capped at level {MAX_ENUM_LEVEL}")
-    gens = [(t.perm, table(t.perm)) for t in acting.generators(level)]
-    seen = {g.perm}
-    frontier = [g.perm]
-    while frontier:
-        x = frontier.pop()
-        x_table = table(x)  # t.perm through it is x * t
-        for t, t_table in gens:
-            y = t.translate(x_table).translate(t_table)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    elems = from_perms(level, seen)
+    _label_orbits(level, acting, (g.perm,), labels := {})
+    elems = from_perms(level, labels)
     return Orbit(elems[0], elems)
 
 

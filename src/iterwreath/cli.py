@@ -94,7 +94,7 @@ def _placeholder(count, noun, *rest):
 def _cmd_enumerate(n):
     elements = full_group(n)
     expected = group_order(n)
-    sizes = [len(set(full_group(m))) for m in range(n + 1)]  # distinct
+    sizes = [len({g.perm for g in full_group(m)}) for m in range(n + 1)]  # distinct
     chain_ok = all(b == 2 * a * a for a, b in zip(sizes, sizes[1:]))
     payload = {
         "level": n,

@@ -11,7 +11,7 @@ from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .algebra import AlgebraElement, orbit
+from .algebra import AlgebraElement, Orbit, _label_orbits, orbit
 from .treegroup import (
     MAX_ENUM_LEVEL,
     LevelTooLarge,
@@ -85,10 +85,8 @@ def center_closed_form(n: int):
     """{identity, product of all sibling-leaf swaps}, the predicted center."""
     if n == 0:
         return (identity(0),)
-    word = [0] * ((1 << n) - 1)
-    for pos in range((1 << (n - 1)) - 1, (1 << n) - 1):
-        word[pos] = 1
-    return tuple(sorted((identity(n), TreeAutomorphism.from_word(word))))
+    half = 1 << (n - 1)  # the sibling-leaf swaps: the last bits of the word
+    return identity(n), TreeAutomorphism.from_word("0" * (half - 1) + "1" * half)
 
 
 def center(n: int):
@@ -103,9 +101,9 @@ def group_centralizer(n: int, k: int):
     ambient = n + k
     out = full_group(ambient)
     for t in SubgroupSpec.embedded(n).generators(ambient):
-        t_table = table(t.perm)  # x * t against t * x, on perm bytes
-        out = [x for x in out
-               if t.perm.translate(table(x.perm)) == x.perm.translate(t_table)]
+        t_perm, t_table = t.perm, table(t.perm)  # x * t against t * x
+        out = [x for x in out if t_perm.translate(x.perm.ljust(256, b"\0"))
+               == x.perm.translate(t_table)]
     return tuple(out)
 
 
@@ -133,15 +131,16 @@ class OrbitDecomposition(namedtuple("OrbitDecomposition", "orbits labels",
 
 
 def _orbit_partition(n: int, ambient: int):
-    """Level-n conjugation orbits on full_group(ambient), by least element."""
-    spec = SubgroupSpec.embedded(n)
-    seen = set()
-    orbits = []
-    for seed in full_group(ambient):
-        if seed not in seen:
-            orbits.append(orbit(seed, spec))
-            seen.update(orbits[-1].elements)
-    return tuple(orbits)
+    """Level-n conjugation orbits on full_group(ambient): one `_label_orbits`
+    pass seeded in rank order numbers them by least element, and one more
+    appends each element to its orbit, which keeps each in rank order."""
+    group = full_group(ambient)
+    perms, labels = [g.perm for g in group], {}
+    count = _label_orbits(ambient, SubgroupSpec.embedded(n), perms, labels)
+    members = [[] for _ in range(count)]
+    for g, i in zip(group, map(labels.__getitem__, perms)):
+        members[i].append(g)
+    return tuple(Orbit(m[0], tuple(m)) for m in members)
 
 
 def conjugacy_classes(n: int) -> OrbitDecomposition:
@@ -162,11 +161,13 @@ def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
     orbits = _orbit_partition(n, ambient) if k else classes.orbits
     orbit_of = {g.perm: i for i, o in enumerate(orbits) for g in o.elements}
 
-    # a label's set is (elements) * h, as the perm bytes of each product
+    # a label's set is (elements) * h, as the perm bytes of each product; a
+    # class element's table is its perm, then `tail`: the fixed labels, padded
     shifts = SubgroupSpec.hat_chain(n, ambient - 1).elements(ambient)
+    tail = bytes(range(1 << n, 1 << ambient)).ljust(256 - (1 << n), b"\0")
     label_sets = []
     for cls in classes.orbits:
-        tables = [table(embed_to(x, ambient).perm) for x in cls.elements]
+        tables = [x.perm + tail for x in cls.elements]
         rep = embed_to(cls.representative, ambient)
         for h in shifts:
             label_sets.append((OrbitLabel("class", rep, (), h),

@@ -245,14 +245,13 @@ def from_perms(level: int, perms) -> tuple:
                         key=_rank))
 
 
-def _from_perm(level, perm, rank=None):
-    """The pooled element of a `perm` the program built itself; `rank`, when
-    given, is the rank that its construction already knows."""
+def _from_perm(level, perm):
+    """The pooled element of a `perm` the program built itself."""
     g = _pool.get(perm)
     if g is None:
         g = _pool[perm] = object.__new__(TreeAutomorphism)
         g.level, g.perm = level, perm
-        g.rank = rank or int(b"1" + _swap_word(level, perm), 2)
+        g.rank = int(b"1" + _swap_word(level, perm), 2)
     return g
 
 
@@ -343,12 +342,16 @@ def full_group(level: int):
     spread_left = [int("0" + "".join(w[c] + z for c, z in blocks), 2) for w in words]
     spread_right = [int("0" + "".join(z + w[c] for c, z in blocks), 2) for w in words]
     # every word occurs once, so an element's word is its place in the group
-    group = [None] * (1 << top)
+    group, pool, new = [None] * (1 << top), _pool, object.__new__
     for s, (lefts, rights) in enumerate(((low, high), (high, low))):
         for a, x in zip(lefts, spread_left):
             x |= s << (top - 1)
             for b, y in zip(rights, spread_right):
-                group[x | y] = _from_perm(level, a + b, (1 << top) | x | y)
+                g = pool.get(perm := a + b)
+                if g is None:
+                    g = pool[perm] = new(TreeAutomorphism)
+                    g.level, g.perm, g.rank = level, perm, (1 << top) | x | y
+                group[x | y] = g
     return tuple(group)
 
 

@@ -108,8 +108,16 @@ def test_orbits_fail_on_a_prediction_off_by_one(monkeypatch, capsys):
 
 def test_a_label_defect_fails_the_orbits_report_alone(monkeypatch, capsys):
     # every class label built on the identity: labels repeat, while the bare
-    # orbit partition that the orbit-sum bases read does not move
-    monkeypatch.setattr(structure, "embed_to", lambda g, level: identity(level))
+    # orbit partition that the orbit-sum bases read does not move, and the
+    # classes keep their representatives and sizes
+    original = structure.conjugacy_classes
+
+    def on_identity(n):
+        classes = original(n)
+        return classes._replace(orbits=tuple(
+            o._replace(elements=(identity(n),) * o.size) for o in classes.orbits))
+
+    monkeypatch.setattr(structure, "conjugacy_classes", on_identity)
     code, out = run_cli(capsys, "orbits", "1", "2", "--format", "json")
     assert code == 1
     assert json.loads(out)["payload"]["error"] == "orbit e labeled twice"

@@ -27,6 +27,7 @@ from iterwreath import (
     group_centralizer,
     group_order,
     identity,
+    orbit,
     orbit_decomposition,
     orbit_index,
     predicted_orbit_count,
@@ -136,6 +137,21 @@ def test_classes_partition_is_disjoint():
 
 
 # --- orbit decompositions --------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, ambient",
+                         [(0, 2), (1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
+def test_orbit_partition_is_the_orbit_of_each_uncovered_seed(n, ambient):
+    spec, covered, expected = SubgroupSpec.embedded(n), set(), []
+    for seed in full_group(ambient):
+        if seed not in covered:
+            expected.append(orbit(seed, spec))
+            covered.update(expected[-1].elements)
+    partition = structure._orbit_partition(n, ambient)
+    assert partition == tuple(expected)
+    for o in partition:
+        assert o.representative is o.elements[0] == min(o.elements)
+        assert all(a.rank < b.rank for a, b in zip(o.elements, o.elements[1:]))
+
 
 def test_orbit_decomposition_adjacent_level_one_explicit():
     decomp = orbit_decomposition(1, 1)

@@ -420,6 +420,8 @@ def test_full_enumeration_keeps_the_elements_interned_before_it():
     group = full_group(4)
     for g in before:
         assert group[g.rank - len(group)] is g
+    assert all(h.rank == 32768 + i for i, h in enumerate(group))
+    assert all(treegroup._pool[h.perm] is h for h in group)
 
 
 def test_full_enumeration_reads_no_swap_word_off_the_leaf_images(monkeypatch):
