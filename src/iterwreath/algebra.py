@@ -60,15 +60,20 @@ class AlgebraElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, level: int, terms: dict) -> "AlgebraElement":
+        """Element of nonzero normalised coefficients on level-`level` terms."""
+        x = object.__new__(cls)
+        x.level, x.terms = level, terms
+        return x
+
+    @classmethod
     def _from_perms(cls, level: int, coeffs: dict) -> "AlgebraElement":
         """Element from int or Fraction coefficients keyed by the `perm` bytes
         of level-`level` elements; each key is interned once."""
-        x = object.__new__(cls)
-        x.level = level
-        x.terms = {_pool.get(k) or _from_perm(level, k):
-                   c.numerator if type(c) is not int and c.denominator == 1 else c
-                   for k, c in coeffs.items() if c}
-        return x
+        return cls._trusted(level, {
+            _pool.get(k) or _from_perm(level, k):
+            c.numerator if type(c) is not int and c.denominator == 1 else c
+            for k, c in coeffs.items() if c})
 
     @classmethod
     def of(cls, g: TreeAutomorphism, coeff=1) -> "AlgebraElement":

@@ -9,9 +9,11 @@ usage or resource-guard violation, and 3 means the program itself failed (one
 
 Command contract: `_COMMANDS` alone names each subcommand, its arguments and
 its CSV columns.  A handler takes them by name (int positionals, then the
-`allow_large`/`seed` flags) and returns (ok, payload, rows); `run` maps ok
-True/False/None to PASS/FAIL/INFO and reports the positionals as parameters,
-or the flags if there are none.
+`allow_large`/`seed` flags) and returns (ok, payload, listing): the payload
+holds every key that a verdict or `verify-all` reads, and `listing()` gives
+the listed payload keys and the rows, decides nothing, and is called by
+`render` alone.  `run` maps ok True/False/None to PASS/FAIL/INFO and reports
+the positionals as parameters, or the flags if there are none.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ GUARD_ERRORS = (LevelTooLarge, endo.HomSpaceEmpty, UsageError)
 
 
 class Report(namedtuple("Report", "subcommand parameters verdict payload "
-                                   "columns rows timing_ms", defaults=(0.0,))):
+                                   "columns listing")):
     """One command's result; `verdict` is PASS, FAIL or INFO."""
 
     __slots__ = ()
@@ -75,20 +77,20 @@ def tensor_json(t) -> dict:
             "indices": list(t.coset_indices)}
 
 
-def coset_rows(system, payload) -> list:
-    """A listed coset system's rows; `payload` gets its stated representatives."""
-    payload["stated_representatives"] = [
-        element_json(r) for r in system.stated_representatives]
-    return [[r.cycle_string(), m.cycle_string(), s]
-            for r, m, s in zip(system.stated_representatives,
-                               system.representatives, system.sizes)]
+def coset_listing(system):
+    """A listed coset system's stated representatives and rows."""
+    return ({"stated_representatives": [
+        element_json(r) for r in system.stated_representatives]},
+        [[r.cycle_string(), m.cycle_string(), s]
+         for r, m, s in zip(system.stated_representatives,
+                            system.representatives, system.sizes)])
 
 
 # --- subcommand handlers -----------------------------------------------------
 
 def _placeholder(count, noun, *rest):
-    """The one row that stands for `count` rows too many to list."""
-    return [[f"<{count} {noun}>", *rest]]
+    """The listing of one row that stands for `count` rows too many to list."""
+    return lambda: ({}, [[f"<{count} {noun}>", *rest]])
 
 
 def _cmd_enumerate(n):
@@ -102,12 +104,13 @@ def _cmd_enumerate(n):
         "expected_size": expected,
         "doubling_square_chain": chain_ok,
     }
-    if len(elements) <= MAX_LISTED_ELEMENTS:
-        payload["elements"] = [element_json(g) for g in elements]
-        rows = [[g.word_string(), g.cycle_string()] for g in elements]
-    else:
-        rows = _placeholder(len(elements), "elements", "")
-    return sizes[-1] == expected and chain_ok, payload, rows
+
+    def listing():
+        return ({"elements": [element_json(g) for g in elements]},
+                [[g.word_string(), g.cycle_string()] for g in elements])
+    return sizes[-1] == expected and chain_ok, payload, (
+        listing if len(elements) <= MAX_LISTED_ELEMENTS
+        else _placeholder(len(elements), "elements", ""))
 
 
 def _cmd_center(n):
@@ -120,7 +123,8 @@ def _cmd_center(n):
         "expected": [element_json(g) for g in expected],
         "match": ok,
     }
-    return ok, payload, [[g.word_string(), g.cycle_string()] for g in computed]
+    return ok, payload, lambda: ({}, [[g.word_string(), g.cycle_string()]
+                                      for g in computed])
 
 
 def _cmd_classes(n):
@@ -132,8 +136,8 @@ def _cmd_classes(n):
         "predicted": predicted,
         "sizes": [o.size for o in decomp.orbits],
     }
-    rows = [[o.representative.cycle_string(), o.size] for o in decomp.orbits]
-    return decomp.count == predicted, payload, rows
+    return decomp.count == predicted, payload, lambda: ({}, [
+        [o.representative.cycle_string(), o.size] for o in decomp.orbits])
 
 
 def _cmd_class_count(n):
@@ -142,7 +146,7 @@ def _cmd_class_count(n):
     values = [structure.class_count(m) for m in range(n + 1)]
     payload = {"level": n, "value": values[-1],
                "sequence": [str(v) for v in values]}
-    return None, payload, [[m, str(v)] for m, v in enumerate(values)]
+    return None, payload, lambda: ({}, [[m, str(v)] for m, v in enumerate(values)])
 
 
 def _cmd_right_cosets(n, l):
@@ -155,11 +159,9 @@ def _cmd_right_cosets(n, l):
         "expected_count": expected,
         "coset_size": group_order(n),
     }
-    if system.count <= MAX_LISTED_ELEMENTS:
-        rows = coset_rows(system, payload)
-    else:
-        rows = _placeholder(system.count, "cosets", "", group_order(n))
-    return system.count == expected, payload, rows
+    return system.count == expected, payload, (
+        (lambda: coset_listing(system)) if system.count <= MAX_LISTED_ELEMENTS
+        else _placeholder(system.count, "cosets", "", group_order(n)))
 
 
 def _cmd_double_cosets(n):
@@ -174,7 +176,7 @@ def _cmd_double_cosets(n):
         "expected_count": order + 1,
         "sizes": list(system.sizes),
     }
-    return ok, payload, coset_rows(system, payload)
+    return ok, payload, lambda: coset_listing(system)
 
 
 def _cmd_orbits(n, k):
@@ -190,7 +192,8 @@ def _cmd_orbits(n, k):
         "matches_corrected": decomp.count == corrected,
         "matches_literal": decomp.count == literal,
     }
-    if decomp.count <= MAX_LISTED_ELEMENTS:
+
+    def listing():
         rows = []
         for orbit_, label in zip(decomp.orbits, decomp.labels):
             if label.kind == "class":
@@ -199,9 +202,10 @@ def _cmd_orbits(n, k):
                 names = " ".join(f"b{j}" for j in reversed(label.indices))
                 text = f"orbit({names})*{label.shift.cycle_string()}"
             rows.append([orbit_.representative.cycle_string(), orbit_.size, text])
-    else:
-        rows = _placeholder(decomp.count, "orbits", "", "")
-    return decomp.count == corrected, payload, rows
+        return {}, rows
+    return decomp.count == corrected, payload, (
+        listing if decomp.count <= MAX_LISTED_ELEMENTS
+        else _placeholder(decomp.count, "orbits", "", ""))
 
 
 def _cmd_centralizer_basis(n, k):
@@ -218,12 +222,10 @@ def _cmd_centralizer_basis(n, k):
         "closure_checked": closure,
     }
     listed = len(basis) <= MAX_LISTED_VECTORS
-    if listed:
-        payload["vectors"] = [algebra_json(v) for v in basis]
-    rows = [[i, len(v.terms),
-             algebra_text(v) if listed else f"<{len(v.terms)} terms>"]
-            for i, v in enumerate(basis)]
-    return all_central and closure is not False, payload, rows
+    return all_central and closure is not False, payload, lambda: (
+        {"vectors": [algebra_json(v) for v in basis]} if listed else {},
+        [[i, len(v.terms), algebra_text(v) if listed else f"<{len(v.terms)} terms>"]
+         for i, v in enumerate(basis)])
 
 
 def _cmd_presentation(n):
@@ -239,22 +241,16 @@ def _cmd_presentation(n):
         "untestable": [list(t) for t in report.untestable],
         "generator_indexing": "root-first",
     }
-    rows = [[inst.family, " ".join(map(str, inst.params)),
-             "ok" if inst.holds else "FAIL"] for inst in report.instances]
-    rows += [[3, " ".join(map(str, t)), "untestable"] for t in report.untestable]
-    return report.all_pass, payload, rows
+    return report.all_pass, payload, lambda: ({}, [
+        [inst.family, " ".join(map(str, inst.params)),
+         "ok" if inst.holds else "FAIL"] for inst in report.instances] + [
+        [3, " ".join(map(str, t)), "untestable"] for t in report.untestable])
 
 
 def _cmd_mackey(n):
     summands = mackey.mackey_decomposition(n)
     payload = {
         "level": n,
-        "summands": [{
-            "rep": element_json(s.coset_rep),
-            "intersection_order": len(s.intersection),
-            "type": s.kind,
-            "dimension": s.bimodule_dimension,
-        } for s in summands],
         "id_multiplicity": sum(1 for s in summands if s.kind == "Id"),
         "expected_id_multiplicity": group_order(n),
         "dimension_total": sum(s.bimodule_dimension for s in summands),
@@ -262,9 +258,13 @@ def _cmd_mackey(n):
     }
     ok = (payload["id_multiplicity"] == payload["expected_id_multiplicity"]
           and payload["dimension_total"] == payload["expected_dimension_total"])
-    rows = [[s.coset_rep.cycle_string(), len(s.intersection), s.kind,
-             s.bimodule_dimension] for s in summands]
-    return ok, payload, rows
+    return ok, payload, lambda: ({"summands": [{
+        "rep": element_json(s.coset_rep),
+        "intersection_order": len(s.intersection),
+        "type": s.kind,
+        "dimension": s.bimodule_dimension,
+    } for s in summands]}, [[s.coset_rep.cycle_string(), len(s.intersection),
+                             s.kind, s.bimodule_dimension] for s in summands])
 
 
 def _cmd_tensor_basis(n, k, l):
@@ -277,14 +277,14 @@ def _cmd_tensor_basis(n, k, l):
         "left_level": n + k - l,
         "coset_base_level": n - l,
     }
-    if size <= MAX_LISTED_ELEMENTS:
+
+    def listing():
         basis = endo.tensor_basis(n, k, l)
-        rows = [[t.left.cycle_string(), t.coset_b.cycle_string(),
-                 " ".join(map(str, t.coset_indices)) or "-"] for t in basis]
-        payload["elements"] = [tensor_json(t) for t in basis]
-    else:
-        rows = _placeholder(size, "tensors", "", "")
-    return True, payload, rows
+        return ({"elements": [tensor_json(t) for t in basis]},
+                [[t.left.cycle_string(), t.coset_b.cycle_string(),
+                  " ".join(map(str, t.coset_indices)) or "-"] for t in basis])
+    return True, payload, (listing if size <= MAX_LISTED_ELEMENTS
+                           else _placeholder(size, "tensors", "", ""))
 
 
 def _cmd_end_basis(n, k, l):
@@ -307,19 +307,18 @@ def _cmd_end_basis(n, k, l):
         if witness:  # (i, j): basis vector i composed with vector j
             payload["first_product_outside_span"] = list(witness)
         ok = ok and payload["products_within_span"]
-    rows, payload["vectors"] = [], []
-    for i, vec in enumerate(eb.vectors):
+
+    def listing():
         if l == 0:
-            payload["vectors"].append(algebra_json(vec))
-            rows.append([i, len(vec.terms), algebra_text(vec)])
-        else:
-            payload["vectors"].append([{**tensor_json(t), "coefficient": "1/1"}
-                                       for t in vec])
-            text = " + ".join(
-                f"{t.left.cycle_string()}(x){t.coset_rep().cycle_string()}"
-                for t in vec)
-            rows.append([i, len(vec), text])
-    return ok, payload, rows
+            return ({"vectors": [algebra_json(v) for v in eb.vectors]},
+                    [[i, len(v.terms), algebra_text(v)]
+                     for i, v in enumerate(eb.vectors)])
+        return ({"vectors": [[{**tensor_json(t), "coefficient": "1/1"} for t in vec]
+                             for vec in eb.vectors]},
+                [[i, len(vec), " + ".join(
+                    f"{t.left.cycle_string()}(x){t.coset_rep().cycle_string()}"
+                    for t in vec)] for i, vec in enumerate(eb.vectors)])
+    return ok, payload, listing
 
 
 def _cmd_d_gens(n, m):
@@ -340,33 +339,27 @@ def _cmd_d_gens(n, m):
         "generators": [{"label": label, "element": algebra_json(elt)}
                        for label, elt in table],
     }
-    rows = [[label, algebra_text(elt)] for label, elt in table]
-    return commute_ok, payload, rows
+    return commute_ok, payload, lambda: ({}, [[label, algebra_text(elt)]
+                                              for label, elt in table])
 
 
 def _cmd_power_table(n, max_k):
     powers = endo.power_table(n, max_k)
     base = powers[0]
-    entries = []
-    rows = []
-    for k, p in enumerate(powers, start=1):
-        collapses = p == base.scaled(1 << (k - 1))
-        entries.append({
-            "k": k,
-            "terms": len(p.terms),
-            "collapses_to_multiple": collapses,
-            "element": algebra_json(p) if len(p.terms) <= MAX_LISTED_ELEMENTS
-            else None,
-        })
-        if collapses:
-            rows.append([k, f"{1 << (k - 1)}/1 * o"])
-        else:
-            rows.append([k, algebra_text(p) if len(p.terms) <= MAX_LISTED_VECTORS
-                         else f"<{len(p.terms)} terms>"])
+    entries = [{
+        "k": k,
+        "terms": len(p.terms),
+        "collapses_to_multiple": p == base.scaled(1 << (k - 1)),
+        "element": algebra_json(p) if len(p.terms) <= MAX_LISTED_ELEMENTS
+        else None,
+    } for k, p in enumerate(powers, start=1)]
     payload = {"base_level": n, "max_k": max_k, "powers": entries}
     # the claim, made at n = 1 only: every odd power from k = 3 on collapses
     odd = [e["collapses_to_multiple"] for e in entries[2::2]]
-    return all(odd) if n == 1 and odd else None, payload, rows
+    return all(odd) if n == 1 and odd else None, payload, lambda: ({}, [
+        [e["k"], f"{1 << (e['k'] - 1)}/1 * o" if e["collapses_to_multiple"]
+         else algebra_text(p) if len(p.terms) <= MAX_LISTED_VECTORS
+         else f"<{len(p.terms)} terms>"] for e, p in zip(entries, powers)])
 
 
 def _cmd_opposite_check(n, k):
@@ -382,8 +375,8 @@ def _cmd_opposite_check(n, k):
             [[[frac_str(cell.get(o, 0)) for o in range(report.dimension)]
               for cell in row] for row in table]
             for table in (report.left_constants, report.right_constants))
-    rows = [[report.dimension, report.closure_ok, report.transpose_ok]]
-    return report.transpose_ok, payload, rows  # which needs closure_ok
+    return report.transpose_ok, payload, lambda: ({}, [  # needs closure_ok
+        [report.dimension, report.closure_ok, report.transpose_ok]])
 
 
 def _cmd_verify_all(seed, allow_large):
@@ -394,12 +387,14 @@ def _cmd_verify_all(seed, allow_large):
 # --- rendering and dispatch ----------------------------------------------------
 
 def render(report: Report, fmt: str) -> str:
+    """The report in one format; the one caller of its listing."""
+    listed, rows = report.listing()
     if fmt == "json":
         blob = {
             "subcommand": report.subcommand,
             "parameters": report.parameters,
             "verdict": report.verdict,
-            "payload": report.payload,
+            "payload": {**report.payload, **listed},
         }
         return json.dumps(blob, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
@@ -409,14 +404,14 @@ def render(report: Report, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(report.columns)
-        for row in report.rows:
+        for row in rows:
             writer.writerow([str(cell) for cell in row])
         return buf.getvalue()
     lines = [f"{report.verdict} {report.subcommand} "
              + " ".join(f"{k}={v}" for k, v in report.parameters.items())]
     if report.columns:
         lines.append("  " + " | ".join(report.columns))
-        for row in report.rows:
+        for row in rows:
             lines.append("  " + " | ".join(str(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
@@ -506,10 +501,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def run(command, params, flags) -> Report:
     """Run one command's handler on its positionals and flags, by name."""
     handler, _, columns, _ = _COMMANDS[command]
-    started = time.perf_counter()
-    ok, payload, rows = handler(**params, **flags)
+    ok, payload, listing = handler(**params, **flags)
     return Report(command, params or flags, _VERDICTS[ok], payload,
-                  columns.split(), rows, (time.perf_counter() - started) * 1e3)
+                  columns.split(), listing)
 
 
 def _arguments(args):
@@ -530,19 +524,23 @@ def dispatch(args) -> Report:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
+    started = time.perf_counter()
     try:
-        report = dispatch(args)
+        try:
+            report = dispatch(args)
+        except VerificationError as exc:
+            params, flags = _arguments(args)
+            error = str(exc)  # `exc` is unbound once this block ends
+            report = Report(args.command, params or flags, "FAIL",
+                            {"error": error}, ["error"], lambda: ({}, [[error]]))
+        text = render(report, args.format)  # a listing's fault is caught too
     except GUARD_ERRORS as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        params, flags = _arguments(args)
-        report = Report(args.command, params or flags, "FAIL",
-                        {"error": str(exc)}, ["error"], [[str(exc)]])
     except Exception as exc:  # a fault in the program, not in its input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = render(report, args.format)
+    elapsed_ms = (time.perf_counter() - started) * 1e3
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -553,7 +551,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    print(f"# elapsed_ms={report.timing_ms:.1f}", file=sys.stderr)
+    print(f"# elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return 0 if report.verdict in ("PASS", "INFO") else 1
 
 

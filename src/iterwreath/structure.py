@@ -94,17 +94,19 @@ def center(n: int):
     return group_centralizer(n, 0)
 
 
+@element_cache
 def group_centralizer(n: int, k: int):
-    """Brute-force centralizer of the embedded level-n group at level n+k."""
+    """Brute-force centralizer of the embedded level-n group at level n+k: the
+    level-(n-1) one there, filtered by the one generator that n adds."""
     if k < 0:
         raise ValueError(f"offset must be >= 0, got {k}")
-    ambient = n + k
-    out = full_group(ambient)
-    for t in SubgroupSpec.embedded(n).generators(ambient):
-        t_perm, t_table = t.perm, table(t.perm)  # x * t against t * x
-        out = [x for x in out if t_perm.translate(x.perm.ljust(256, b"\0"))
-               == x.perm.translate(t_table)]
-    return tuple(out)
+    if n == 0:
+        return full_group(k)
+    t = SubgroupSpec.embedded(n).generators(n + k)[-1]
+    t_perm, t_table = t.perm, table(t.perm)  # x * t against t * x
+    return tuple(x for x in group_centralizer(n - 1, k + 1)
+                 if t_perm.translate(x.perm.ljust(256, b"\0"))
+                 == x.perm.translate(t_table))
 
 
 # --- orbit decompositions ---------------------------------------------------
@@ -197,11 +199,11 @@ def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
 def centralizer_algebra_basis(n: int, k: int):
     """Orbit sums of the level-n conjugation action: a centralizer basis.
 
-    From the bare orbit partition; only orbit_decomposition checks labels.
-    Linear independence is free (disjoint supports); commutation with the
-    embedded subgroup is re-checked by callers and tests.
+    From the bare orbit partition, whose elements are not checked again as
+    terms; only orbit_decomposition checks labels.  Linear independence is
+    free (disjoint supports); the report and the tests re-check commutation.
     """
-    return tuple(AlgebraElement.from_elements(n + k, o.elements)
+    return tuple(AlgebraElement._trusted(n + k, dict.fromkeys(o.elements, 1))
                  for o in _orbit_partition(n, n + k))
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
@@ -358,11 +359,29 @@ def test_unlisted_right_cosets_make_no_element_for_a_representative():
 
 
 def test_battery_orders_only_the_listed_right_cosets(monkeypatch):
-    # one call per listed coset: 4 + 16 + 256 + 64 at (1,0) (2,0) (3,0) (1,1)
+    # a system is ordered by its listing alone, which the battery never runs
     calls = counted_from_perms(monkeypatch)
     ok, _ = battery._check_right_cosets(cli.run, False, random.Random(0))
     assert ok
-    assert len(calls) <= 340
+    assert calls == []
+
+
+def test_verify_all_runs_no_listing(monkeypatch):
+    listed = []
+
+    def recorded(command, handler):
+        def wrapped(**params):
+            ok, payload, listing = handler(**params)
+            return ok, payload, lambda: listed.append(command) or listing()
+        return wrapped
+
+    for command, (handler, *rest) in list(_COMMANDS.items()):
+        monkeypatch.setitem(_COMMANDS, command, (recorded(command, handler), *rest))
+    report = cli.run("verify-all", {}, {"seed": 1, "allow_large": True})
+    assert report.payload["failed"] == 0
+    assert listed == []
+    cli.render(report, "text")  # the report's own listing runs when rendered
+    assert listed == ["verify-all"]
 
 
 def test_verification_error_report_keeps_its_parameters(monkeypatch, capsys):
@@ -561,6 +580,41 @@ def test_program_fault_is_not_a_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ValueError: internal fault\n"
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_fault_in_a_listing_is_a_program_fault(capsys, monkeypatch, tmp_path,
+                                               out):
+    handler = _COMMANDS["classes"][0]
+
+    def broken_listing(**params):
+        ok, payload, _ = handler(**params)
+        return ok, payload, lambda: 1 // 0
+
+    monkeypatch.setitem(_COMMANDS, "classes",
+                        (broken_listing, *_COMMANDS["classes"][1:]))
+    target = tmp_path / "report.txt"
+    argv = ["classes", "2", *(["--out", str(target)] if out else [])]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ZeroDivisionError: integer division or modulo by zero\n"
+    assert not target.exists()
+
+
+def test_elapsed_time_covers_the_listing(capsys, monkeypatch):
+    handler = _COMMANDS["classes"][0]
+
+    def slow_listing(**params):
+        ok, payload, listing = handler(**params)
+        return ok, payload, lambda: time.sleep(0.05) or listing()
+
+    monkeypatch.setitem(_COMMANDS, "classes",
+                        (slow_listing, *_COMMANDS["classes"][1:]))
+    assert main(["classes", "2"]) == 0
+    err = capsys.readouterr().err
+    assert ELAPSED.fullmatch(err.strip())
+    assert float(err.split("=")[1]) >= 50
 
 
 @pytest.mark.parametrize("command", _COMMANDS)

@@ -17,6 +17,7 @@ output change, recapture every fixture with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import copy
 import io
 import json
 import os
@@ -111,6 +112,19 @@ def rendered_usage():
 def test_golden_output(command):
     for path, data in rendered(command).items():
         assert data == path.read_bytes(), f"{path.name} differs"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_rendering_runs_a_listing_that_decides_nothing(command):
+    # a listing only adds keys to what render prints: the verdict and the
+    # payload stay as dispatched, and a second rendering gives the same bytes
+    report = dispatch(build_parser().parse_args(command.split()))
+    verdict, payload = report.verdict, copy.deepcopy(report.payload)
+    first = [render(report, fmt) for fmt in FORMATS]
+    assert (report.verdict, report.payload) == (verdict, payload)
+    assert [render(report, fmt) for fmt in FORMATS] == first
+    listed, _ = report.listing()
+    assert not set(listed) & set(payload)
 
 
 def test_golden_files_are_exactly_the_recaptured_ones():
