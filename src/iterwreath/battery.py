@@ -228,7 +228,7 @@ _CHECKS = [
 ]
 
 
-def verify_all(seed, allow_large, run, verdicts):
+def verify_all(seed, allow_large, run):
     """Every check in order; the `verify-all` handler's (ok, payload, listing)."""
     rng = random.Random(seed)
     results = []
@@ -247,5 +247,5 @@ def verify_all(seed, allow_large, run, verdicts):
         "passed": sum(1 for r in results if r["passed"]),
         "failed": sum(1 for r in results if not r["passed"]),
     }
-    return all_ok, payload, lambda: ({}, [[r["check"], verdicts[r["passed"]]]
-                                          for r in results])
+    return all_ok, payload, lambda: ({}, [
+        [r["check"], "PASS" if r["passed"] else "FAIL"] for r in results])

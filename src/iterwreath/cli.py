@@ -381,7 +381,10 @@ def _cmd_opposite_check(n, k):
 
 def _cmd_verify_all(seed, allow_large):
     from . import battery  # only this command compiles the battery
-    return battery.verify_all(seed, allow_large, run, _VERDICTS)
+    try:
+        return battery.verify_all(seed, allow_large, run)
+    except GUARD_ERRORS as exc:  # no argument of verify-all can be at fault
+        raise RuntimeError(f"{type(exc).__name__}: {exc}") from exc
 
 
 # --- rendering and dispatch ----------------------------------------------------
@@ -518,7 +521,12 @@ def dispatch(args) -> Report:
         if value < 0:
             raise UsageError(f"{args.command}: argument {name} must be >= 0, "
                              f"got {value}")
-    return run(args.command, params, flags)
+    try:
+        return run(args.command, params, flags)
+    except VerificationError as exc:
+        error = str(exc)  # `exc` is unbound once this block ends
+        return Report(args.command, params or flags, "FAIL", {"error": error},
+                      ["error"], lambda: ({}, [[error]]))
 
 
 def main(argv=None) -> int:
@@ -526,13 +534,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     started = time.perf_counter()
     try:
-        try:
-            report = dispatch(args)
-        except VerificationError as exc:
-            params, flags = _arguments(args)
-            error = str(exc)  # `exc` is unbound once this block ends
-            report = Report(args.command, params or flags, "FAIL",
-                            {"error": error}, ["error"], lambda: ({}, [[error]]))
+        report = dispatch(args)
         text = render(report, args.format)  # a listing's fault is caught too
     except GUARD_ERRORS as exc:
         print(f"guard: {exc}", file=sys.stderr)

@@ -582,6 +582,23 @@ def test_program_fault_is_not_a_usage_error(capsys, monkeypatch):
     assert captured.err == "error: ValueError: internal fault\n"
 
 
+@pytest.mark.parametrize("error", [treegroup.LevelTooLarge,
+                                   treegroup.UsageError, endo.HomSpaceEmpty])
+def test_guard_error_inside_verify_all_is_a_program_fault(capsys, monkeypatch,
+                                                          error):
+    # verify-all has no argument that a guard could reject, so a guard error
+    # that escapes one of its checks is a fault in the program
+    def broken(n, k):
+        raise error("raised inside a check")
+
+    monkeypatch.setattr(structure, "group_centralizer", broken)
+    assert main(["verify-all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: RuntimeError: {error.__name__}: raised inside a check\n")
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_fault_in_a_listing_is_a_program_fault(capsys, monkeypatch, tmp_path,
                                                out):

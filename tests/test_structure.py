@@ -250,6 +250,35 @@ def test_orbit_labeled_twice_is_caught(monkeypatch):
         orbit_decomposition(1, 2)
 
 
+def test_swap_label_short_of_an_element_matches_no_orbit(monkeypatch):
+    # each swap base's orbit loses its last element, so the first swap label
+    # matches no orbit, while every class label still does
+    real = structure.orbit
+
+    def short(g, spec):
+        found = real(g, spec)
+        return found._replace(elements=found.elements[:-1])
+
+    monkeypatch.setattr(structure, "orbit", short)
+    with pytest.raises(VerificationError, match="does not match any orbit") as exc:
+        orbit_decomposition(1, 2)
+    assert "kind='beta'" in str(exc.value)
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (1, 1), (2, 1), (1, 2), (0, 3)])
+def test_orbit_walks_once_per_swap_base(monkeypatch, n, k):
+    # one walk per nonempty index set, never one per chain shift
+    real, walked = structure.orbit, []
+
+    def counted(g, spec):
+        walked.append(g)
+        return real(g, spec)
+
+    monkeypatch.setattr(structure, "orbit", counted)
+    orbit_decomposition(n, k)
+    assert len(walked) == (1 << k) - 1
+
+
 def test_orbit_missed_by_every_label_is_caught(monkeypatch):
     # one base class dropped: its shifted copies get no label
     real = structure.conjugacy_classes
