@@ -211,7 +211,8 @@ def _cmd_orbits(n, k):
 def _cmd_centralizer_basis(n, k):
     basis = structure.centralizer_algebra_basis(n, k)
     sub = SubgroupSpec.embedded(n)
-    all_central = all(algebra.centralizes(v, sub) for v in basis)
+    # embedded(0) has no generator to commute with: no claim
+    all_central = all(algebra.centralizes(v, sub) for v in basis) if n else None
     closure = all(c is not None for row in structure.algebra_constants(basis)
                   for c in row) if (n, k) == (1, 1) else None
     payload = {
@@ -241,7 +242,8 @@ def _cmd_presentation(n):
         "untestable": [list(t) for t in report.untestable],
         "generator_indexing": "root-first",
     }
-    return report.all_pass, payload, lambda: ({}, [
+    # level 0 has no generator, so no relation instance: no claim
+    return report.all_pass if report.instances else None, payload, lambda: ({}, [
         [inst.family, " ".join(map(str, inst.params)),
          "ok" if inst.holds else "FAIL"] for inst in report.instances] + [
         [3, " ".join(map(str, t)), "untestable"] for t in report.untestable])
@@ -322,19 +324,20 @@ def _cmd_end_basis(n, k, l):
 
 
 def _cmd_d_gens(n, m):
-    table = endo.d_generator_table(n, m)
-    swaps = sum(label.startswith("b") for label, _ in table)
-    orbit_single = [elt for label, elt in table if label == f"o(b{n + 1})"]
-    shift_zero = [g for label, elt in table
-                  if label.startswith("b") and label.endswith("^(0)")
-                  for g in elt.terms]  # each a single group element
-    commute_ok = all(o.commutes_with(g) for o in orbit_single for g in shift_zero)
+    swaps, sums = endo.d_generator_table(n, m)
+    table = [(f"b{i}^({shift})", elt) for (shift, i), elt in swaps] + [
+        ("o(" + " ".join(f"b{j}" for j in reversed(indices)) + ")", elt)
+        for indices, elt in sums]
+    root_sum = dict(sums)[(n + 1,)]
+    shift_zero = [g for (shift, _), elt in swaps if shift == 0 for g in elt.terms]
+    # at n = 0 there is no shift-0 swap to commute with: no claim
+    commute_ok = all(map(root_sum.commutes_with, shift_zero)) if shift_zero else None
     payload = {
         "base_level": n,
         "ambient_level": m,
         "count": len(table),
-        "swap_generators": swaps,
-        "orbit_sums": len(table) - swaps,
+        "swap_generators": len(swaps),
+        "orbit_sums": len(sums),
         "orbit_sum_commutes_with_shifted_gens": commute_ok,
         "generators": [{"label": label, "element": algebra_json(elt)}
                        for label, elt in table],

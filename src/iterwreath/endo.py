@@ -291,28 +291,24 @@ def end_ind_res_basis(n: int, k: int, l: int) -> EndBasis:
 # --- generating sets ---------------------------------------------------------
 
 def d_generator_table(n: int, m: int):
-    """Labeled generators of the non-central block of the centralizer algebra.
-
-    Leftmost-swap generators of each shifted copy between the levels, plus
-    the orbit sums of descending generator products over the new indices;
-    every entry is checked to centralize the embedded level-n subgroup.
+    """Generators of the non-central block of the centralizer algebra, as
+    (swaps, sums): ((shift, i), b_i of that shifted copy) for each shifted copy
+    between the levels, and (new indices, orbit sum of their descending
+    generator product); each is checked to centralize the embedded subgroup.
     """
     if not n < m <= MAX_ENUM_LEVEL:
         raise UsageError(f"need n < m <= {MAX_ENUM_LEVEL}, got {(n, m)}")
     sub = SubgroupSpec.embedded(n)
-    labels = (f"b{i}^({shift})" for shift in range(m - n)
-              for i in range(1, n + shift + 1))
-    gens = [(label, AlgebraElement.of(g)) for label, g in
-            zip(labels, SubgroupSpec.hat_chain(n, m - 1).generators(m))]
-    for size in range(1, m - n + 1):
-        for indices in combinations(range(n + 1, m + 1), size):
-            w = beta_product(m, indices).inverse()
-            label = "o(" + " ".join(f"b{j}" for j in reversed(indices)) + ")"
-            gens.append((label, orbit_sum(w, sub)))
-    for label, elt in gens:
+    keys = ((shift, i) for shift in range(m - n) for i in range(1, n + shift + 1))
+    swaps = tuple(zip(keys, map(AlgebraElement.of,
+                                SubgroupSpec.hat_chain(n, m - 1).generators(m))))
+    sums = tuple((indices, orbit_sum(beta_product(m, indices).inverse(), sub))
+                 for size in range(1, m - n + 1)
+                 for indices in combinations(range(n + 1, m + 1), size))
+    for key, elt in swaps + sums:
         if not centralizes(elt, sub):
-            raise VerificationError(f"generator {label} fails to centralize")
-    return tuple(gens)
+            raise VerificationError(f"generator {key} fails to centralize")
+    return swaps, sums
 
 
 def power_table(n: int, max_k: int):

@@ -1,13 +1,14 @@
-"""Pytest plugin: every `raise VerificationError` in the package is reached.
+"""Pytest plugin: every raise of a package exception in the package is reached.
 
     PYTHONPATH=src:tests python -m pytest -q -p raise_sites
 
-While the tests run, the plugin records the source line of every
-VerificationError the package constructs.  At the end it scans the
-package's modules with `ast` for `raise VerificationError` statements and
-fails the session, naming each one, if a test never reached it.  Only a run
-of the whole suite means anything: a subset leaves raises unreached.
-Raises reached only inside a subprocess are not seen.
+The package's exception classes are the six in CLASSES.  While the tests
+run, the plugin records the source line that constructs each instance of
+one of them.  At the end it scans the package's modules with `ast` for
+`raise` statements of these classes and fails the session, naming each one,
+if a test never reached it.  Only a run of the whole suite means anything:
+a subset leaves raises unreached.  Raises reached only inside a subprocess
+are not seen, and raises of builtin exceptions are not recorded.
 """
 
 import ast
@@ -15,27 +16,35 @@ import sys
 from pathlib import Path
 
 import iterwreath
+from iterwreath.endo import HomSpaceEmpty
 from iterwreath.structure import VerificationError
+from iterwreath.treegroup import (LevelMismatch, LevelTooLarge,
+                                  NotATreeAutomorphism, UsageError)
 
 PACKAGE = Path(iterwreath.__file__).resolve().parent
+CLASSES = (LevelMismatch, LevelTooLarge, UsageError, NotATreeAutomorphism,
+           VerificationError, HomSpaceEmpty)
 _reached = set()
-_init = VerificationError.__init__
+_inits = {cls: cls.__init__ for cls in CLASSES}  # read before any is replaced
 
 
-def _recording_init(self, *args):
-    caller = sys._getframe(1)  # the frame that raises
-    _reached.add((Path(caller.f_code.co_filename).resolve(), caller.f_lineno))
-    _init(self, *args)
+def _recording(init):
+    def recording_init(self, *args):
+        caller = sys._getframe(1)  # the frame that raises
+        _reached.add((Path(caller.f_code.co_filename).resolve(), caller.f_lineno))
+        init(self, *args)
+    return recording_init
 
 
 def raise_sites():
-    """(path, first line, last line) of each raise of a VerificationError."""
+    """(path, first line, last line) of each raise of a class in CLASSES."""
+    names = {cls.__name__ for cls in CLASSES}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             exc = node.exc if isinstance(node, ast.Raise) else None
             if isinstance(exc, ast.Call):
                 exc = exc.func
-            if isinstance(exc, ast.Name) and exc.id == "VerificationError":
+            if isinstance(exc, ast.Name) and exc.id in names:
                 yield path, node.lineno, node.end_lineno
 
 
@@ -46,11 +55,13 @@ def unreached_sites():
 
 
 def pytest_configure(config):
-    VerificationError.__init__ = _recording_init
+    for cls, init in _inits.items():
+        cls.__init__ = _recording(init)
 
 
 def pytest_unconfigure(config):
-    VerificationError.__init__ = _init
+    for cls, init in _inits.items():
+        cls.__init__ = init
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -59,7 +70,7 @@ def pytest_sessionfinish(session, exitstatus):
         return
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
     reporter.line("")  # end the progress line
-    reporter.write_sep("=", "raise VerificationError never reached")
+    reporter.write_sep("=", "raise of a package exception never reached")
     for path, line in unreached:
         reporter.write_line(f"{path.relative_to(PACKAGE.parent)}:{line}")
     session.exitstatus = 1

@@ -73,8 +73,8 @@ def id_factor_span_check(n: int):
     the two factors together span the whole adjacent-level centralizer.
     """
     level = n + 1
-    block_rows = _generated_algebra_rows(
-        level, [elt for _, elt in d_generator_table(n, level)])
+    swaps, sums = d_generator_table(n, level)
+    block_rows = _generated_algebra_rows(level, [elt for _, elt in swaps + sums])
     class_sums = [
         AlgebraElement.from_elements(level, (embed_to(x, level) for x in c.elements))
         for c in conjugacy_classes(n).orbits]

@@ -8,6 +8,7 @@ import pytest
 from iterwreath import (
     AlgebraElement,
     LevelMismatch,
+    LevelTooLarge,
     SubgroupSpec,
     beta,
     centralizes,
@@ -237,6 +238,12 @@ def test_orbit_of_root_swap_under_embedded_level_one():
     o = orbit(beta(2, 2), SubgroupSpec.embedded(1))
     assert {g.cycle_string() for g in o.elements} == {"(1 3)(2 4)", "(1 4)(2 3)"}
     assert o.representative == min(o.elements)
+
+
+def test_orbit_above_the_enumeration_cap_is_refused():
+    # a level-5 element exists, but its orbit walk is not made
+    with pytest.raises(LevelTooLarge, match="^orbit computation capped at level 4$"):
+        orbit(beta(5, 5), SubgroupSpec.embedded(1))
 
 
 def test_root_swap_orbit_agrees_for_embedded_and_full():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import iterwreath
-from iterwreath import (AlgebraElement, SubgroupSpec, battery, beta,
+from iterwreath import (AlgebraElement, SubgroupSpec, algebra, battery, beta,
                         beta_product, cli, endo, group_order, identity, mackey,
                         structure, treegroup)
 from iterwreath.cli import _COMMANDS, _flags, _positionals, build_parser, main
@@ -284,6 +284,38 @@ def test_power_table_claims_nothing_below_the_cube(capsys, max_k, verdict):
     assert json.loads(out)["verdict"] == verdict
 
 
+def info_payload(capsys, *argv):
+    """`argv` renders INFO in JSON and exits 0; the JSON payload."""
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    blob = json.loads(out)
+    assert (code, blob["verdict"]) == (0, "INFO")
+    return blob["payload"]
+
+
+def test_presentation_at_level_zero_checks_no_relation(capsys):
+    payload = info_payload(capsys, "presentation", "0")
+    assert payload["instances_checked"] == 0
+    assert payload["failures"] == payload["untestable"] == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_d_gens_over_level_zero_has_no_swap_to_commute_with(capsys, m):
+    payload = info_payload(capsys, "d-gens", "0", str(m))
+    assert payload["swap_generators"] == m * (m - 1) // 2  # shifts 1..m-1
+    assert payload["orbit_sums"] == 2 ** m - 1
+    assert not any(g["label"].endswith("^(0)") for g in payload["generators"])
+    assert payload["orbit_sum_commutes_with_shifted_gens"] is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_centralizer_basis_over_level_zero_checks_no_commutation(capsys, k):
+    # embedded(0) has no generator: the basis is every element of A_k
+    payload = info_payload(capsys, "centralizer-basis", "0", str(k))
+    assert payload["dimension"] == group_order(k)
+    assert payload["all_centralize"] is None
+    assert payload["closure_checked"] is None
+
+
 def test_presentation_pass(capsys):
     code, out = run_cli(capsys, "presentation", "4", "--format", "json")
     assert code == 0
@@ -436,8 +468,15 @@ def test_enumerate_counts_a_repeated_element_once(monkeypatch, capsys):
 
 # the verify-all check that reads each command's report
 SWEPT_BY = {"enumerate": battery._check_group_sizes,
+            "presentation": battery._check_presentation,
+            "center": battery._check_centers,
+            "classes": battery._check_class_counts,
+            "right-cosets": battery._check_right_cosets,
+            "centralizer-basis": battery._check_centralizer_basis,
+            "mackey": battery._check_mackey,
             "power-table": battery._check_power_identity,
             "tensor-basis": battery._check_end_bases,
+            "opposite-check": battery._check_opposite,
             "d-gens": battery._check_d_generators}
 
 
@@ -453,6 +492,59 @@ def test_battery_check_fails_when_the_command_it_reads_fails(
     monkeypatch.setitem(_COMMANDS, command, (failing, *_COMMANDS[command][1:]))
     ok, _ = SWEPT_BY[command](cli.run, False, random.Random(0))
     assert ok is False
+
+
+def test_centralizer_check_fails_on_a_centralizer_short_of_one_element(
+        monkeypatch):
+    original = structure.group_centralizer
+    monkeypatch.setattr(structure, "group_centralizer",
+                        lambda n, k: original(n, k)[:-1])
+    ok, detail = battery._check_centralizers(cli.run, False, random.Random(0))
+    assert ok is False
+    assert detail["n=1"] == {"size": 3, "matches_product_set": False}
+
+
+def test_orbit_stability_check_fails_when_the_larger_orbit_grows(monkeypatch):
+    # the orbit under embedded(n + 1) gains the identity, which no
+    # conjugate of the root swap is
+    original = algebra.orbit
+
+    def grown(g, acting):
+        found = original(g, acting)
+        if acting == SubgroupSpec.embedded(g.level):
+            return found._replace(elements=(identity(g.level), *found.elements))
+        return found
+
+    monkeypatch.setattr(algebra, "orbit", grown)
+    ok, detail = battery._check_orbit_stability(cli.run, False, random.Random(0))
+    assert ok is False
+    assert detail["n=1"] == {"orbits_equal": False, "sum_central": True}
+
+
+def test_axioms_spot_check_fails_on_a_wrong_identity(monkeypatch):
+    monkeypatch.setattr(treegroup, "identity", lambda n: beta(n, 1))
+    ok, detail = battery._check_axioms_spot(cli.run, False, random.Random(0))
+    assert ok is False
+    assert detail["n=3"] == {"triples": 200, "ok": False}
+
+
+def test_end_bases_check_fails_when_over_restriction_is_not_refused(
+        monkeypatch):
+    # a tensor-basis that reports an empty hom space as a PASS
+    handler = _COMMANDS["tensor-basis"][0]
+
+    def accepting(n, k, l):
+        try:
+            return handler(n=n, k=k, l=l)
+        except endo.HomSpaceEmpty:
+            return True, {"size": 0}, lambda: ({}, [])
+
+    monkeypatch.setitem(_COMMANDS, "tensor-basis",
+                        (accepting, *_COMMANDS["tensor-basis"][1:]))
+    ok, detail = battery._check_end_bases(cli.run, False, random.Random(0))
+    assert ok is False
+    assert detail["over_restriction_rejected"] is False
+    assert detail["tensor_sizes_ok"] is True
 
 
 def test_verify_all_exits_1_when_one_swept_command_fails(monkeypatch, capsys):
@@ -795,9 +887,10 @@ def test_d_gens_commutation_failure_fails_the_verdict(monkeypatch, capsys):
     original = endo.d_generator_table
 
     def replaced(n, m):
-        return tuple((label, AlgebraElement.of(beta(m, m)))
-                     if label == f"o(b{n + 1})" else (label, elt)
-                     for label, elt in original(n, m))
+        swaps, sums = original(n, m)
+        return swaps, tuple((key, AlgebraElement.of(beta(m, m)))
+                            if key == (n + 1,) else (key, elt)
+                            for key, elt in sums)
 
     monkeypatch.setattr(endo, "d_generator_table", replaced)
     code, out = run_cli(capsys, "d-gens", "1", "2", "--format", "json")

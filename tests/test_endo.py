@@ -89,6 +89,13 @@ def test_tensor_basis_rejects_negative_offset():
         tensor_basis(2, 0, 1)
 
 
+def test_tensor_index_rejects_a_negative_parameter():
+    with pytest.raises(ValueError, match=r"^parameters must be >= 0, "
+                                         r"got \(1, -1, 0\)$") as caught:
+        endo.tensor_index(1, -1, 0)
+    assert type(caught.value) is ValueError
+
+
 def test_tensor_basis_guard():
     with pytest.raises(LevelTooLarge):
         tensor_basis(4, 1, 0)
@@ -464,33 +471,33 @@ def test_root_swap_orbit_sum_is_central_one_level_up(n):
 # --- generating sets ----------------------------------------------------------------------
 
 def test_d_generator_table_adjacent_level_one():
-    table = d_generator_table(1, 2)
-    assert [label for label, _ in table] == ["b1^(0)", "o(b2)"]
-    swap, osum = (elt for _, elt in table)
+    swaps, sums = d_generator_table(1, 2)
+    assert [key for key, _ in swaps + sums] == [(0, 1), (2,)]
+    (_, swap), (_, osum) = swaps + sums
     assert swap == AlgebraElement.of(elem(2, "(3 4)"))
     assert osum == (AlgebraElement.of(elem(2, "(1 3)(2 4)"))
                     + AlgebraElement.of(elem(2, "(1 4)(2 3)")))
 
 
 def test_d_generator_table_two_levels_up_from_two():
-    labels = [label for label, _ in d_generator_table(2, 4)]
-    assert labels == ["b1^(0)", "b2^(0)", "b1^(1)", "b2^(1)", "b3^(1)",
-                      "o(b3)", "o(b4)", "o(b4 b3)"]
+    swaps, sums = d_generator_table(2, 4)
+    assert [key for key, _ in swaps] == [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
+    assert [key for key, _ in sums] == [(3,), (4,), (3, 4)]
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 3), (2, 4)])
 def test_d_generators_centralize_embedded_subgroup(n, m):
     sub = SubgroupSpec.embedded(n)
-    for _, g in d_generator_table(n, m):
+    swaps, sums = d_generator_table(n, m)
+    for _, g in swaps + sums:
         assert centralizes(g, sub)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_root_swap_orbit_sum_commutes_with_shifted_generators(n):
-    table = d_generator_table(n, n + 1)
-    orbit_sums = [e for label, e in table if label.startswith("o(")]
-    gens = [e for label, e in table if label.startswith("b")]
-    for o in orbit_sums:
+    swaps, sums = d_generator_table(n, n + 1)
+    gens = [e for _, e in swaps]
+    for _, o in sums:
         for g in gens:
             assert o * g == g * o
 

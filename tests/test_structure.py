@@ -60,6 +60,14 @@ def test_class_count_rejects_negative():
         class_count(-1)
 
 
+@pytest.mark.parametrize("call", [lambda: predicted_orbit_count_literal(1, -1),
+                                  lambda: group_centralizer(1, -1)])
+def test_negative_offset_is_refused(call):
+    with pytest.raises(ValueError, match="^offset must be >= 0, got -1$") as caught:
+        call()
+    assert type(caught.value) is ValueError
+
+
 def test_predicted_orbit_counts():
     assert predicted_orbit_count(1, 1) == 6
     assert predicted_orbit_count(2, 1) == 48

@@ -484,6 +484,30 @@ def test_trivial_subgroup():
     assert trivial.generators(3) == ()
 
 
+# Guards that raise a builtin exception, which the raise_sites plugin cannot
+# record: each is pinned by its exact class and message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: group_order(-1), "level must be >= 0, got -1"),
+    (lambda: identity(-1), "level must be >= 0, got -1"),
+    (lambda: TreeAutomorphism.from_word([0, 1]), "bad swap word (0, 1)"),
+    (lambda: TreeAutomorphism.from_word([2]), "bad swap word (2,)"),
+    (lambda: treegroup.components(identity(0)),
+     "level-0 element has no components"),
+    (lambda: SubgroupSpec.embedded(-1).validate(2),
+     "negative subgroup level in SubgroupSpec(kind='embedded', lo=-1, hi=-1)"),
+])
+def test_builtin_value_error_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert type(caught.value) is ValueError
+
+
+def test_direct_construction_is_refused():
+    with pytest.raises(TypeError, match="^use TreeAutomorphism.from_word "
+                                        "/ identity / beta$"):
+        TreeAutomorphism()
+
+
 def test_subgroup_spec_validation():
     with pytest.raises(ValueError):
         SubgroupSpec.hat_chain(3, 1)
