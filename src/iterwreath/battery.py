@@ -24,7 +24,7 @@ def _sweep(run, command, cases, detail):
     """
     ok, entries = True, {}
     for key, params in cases.items():
-        report = run(command, params, {})
+        report = run(command, params)
         ok = ok and report.verdict == "PASS"
         entries[key] = detail(report)
         del report  # its listing would keep the command's data alive
@@ -161,7 +161,7 @@ def _check_end_bases(run, allow_large, rng):
     ok = ok and sizes_ok
     detail["tensor_sizes_ok"] = sizes_ok
     try:
-        run("tensor-basis", {"n": 1, "k": 1, "l": 2}, {})
+        run("tensor-basis", {"n": 1, "k": 1, "l": 2})
         rejected = False
     except HomSpaceEmpty:
         rejected = True

@@ -13,7 +13,7 @@ its CSV columns.  A handler takes them by name (int positionals, then the
 holds every key that a verdict or `verify-all` reads, and `listing()` gives
 the listed payload keys and the rows, decides nothing, and is called by
 `render` alone.  `run` maps ok True/False/None to PASS/FAIL/INFO and reports
-the positionals as parameters, or the flags if there are none.
+its one dict of arguments, positionals then flags, as the parameters.
 """
 
 from __future__ import annotations
@@ -504,31 +504,27 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
-def run(command, params, flags) -> Report:
-    """Run one command's handler on its positionals and flags, by name."""
+def run(command, arguments) -> Report:
+    """Run one command's handler on its arguments, by name."""
     handler, _, columns, _ = _COMMANDS[command]
-    ok, payload, listing = handler(**params, **flags)
-    return Report(command, params or flags, _VERDICTS[ok], payload,
-                  columns.split(), listing)
-
-
-def _arguments(args):
-    """The parsed positionals and flags of one command, by name."""
-    return ({name: getattr(args, name) for name in _positionals(args.command)},
-            {name: getattr(args, name) for name in _flags(args.command)})
+    ok, payload, listing = handler(**arguments)
+    return Report(command, arguments, _VERDICTS[ok], payload, columns.split(),
+                  listing)
 
 
 def dispatch(args) -> Report:
-    params, flags = _arguments(args)
-    for name, value in params.items():
-        if value < 0:
+    positionals = _positionals(args.command)
+    arguments = {name: getattr(args, name)
+                 for name in positionals + _flags(args.command)}
+    for name in positionals:
+        if arguments[name] < 0:
             raise UsageError(f"{args.command}: argument {name} must be >= 0, "
-                             f"got {value}")
+                             f"got {arguments[name]}")
     try:
-        return run(args.command, params, flags)
+        return run(args.command, arguments)
     except VerificationError as exc:
         error = str(exc)  # `exc` is unbound once this block ends
-        return Report(args.command, params or flags, "FAIL", {"error": error},
+        return Report(args.command, arguments, "FAIL", {"error": error},
                       ["error"], lambda: ({}, [[error]]))
 
 

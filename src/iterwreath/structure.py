@@ -49,14 +49,14 @@ def class_count(n: int) -> int:
     return num // 2
 
 
-def _orbit_count(n: int, k: int, a: int) -> int:
-    """|A_n|*...*|A_{n+k-1}| * (c_n + a), the form both readings share."""
+def _orbit_count(n: int, k: int, e: int) -> int:
+    """|A_n|*...*|A_{n+k-1}| * (c_n + 2**e - 1), the form both readings share."""
     if k < 0:
         raise ValueError(f"offset must be >= 0, got {k}")
     prod = 1
     for j in range(k):
         prod *= group_order(n + j)
-    return prod * (class_count(n) + a)
+    return prod * (class_count(n) + (1 << e) - 1)
 
 
 def predicted_orbit_count(n: int, k: int) -> int:
@@ -66,7 +66,7 @@ def predicted_orbit_count(n: int, k: int) -> int:
     reproduces the adjacent-level count |A_n|*(c_n + 1) at k = 1 and the
     class count at k = 0.
     """
-    return _orbit_count(n, k, (1 << k) - 1)
+    return _orbit_count(n, k, k)
 
 
 def predicted_orbit_count_literal(n: int, k: int) -> int:
@@ -76,7 +76,7 @@ def predicted_orbit_count_literal(n: int, k: int) -> int:
     with a_0 = 0, a_r = 2*a_{r-1} + 1, i.e. c_n + 2**(k-1) - 1; at k = 0
     it is the class count.
     """
-    return _orbit_count(n, k, (1 << max(k - 1, 0)) - 1)
+    return _orbit_count(n, k, max(k - 1, 0))
 
 
 # --- centers and centralizers ----------------------------------------------
@@ -133,21 +133,21 @@ class OrbitDecomposition(namedtuple("OrbitDecomposition", "orbits labels",
 
 
 def _orbit_partition(n: int, ambient: int):
-    """Level-n conjugation orbits on full_group(ambient): one `_label_orbits`
-    pass seeded in rank order numbers them by least element, and one more
-    appends each element to its orbit, which keeps each in rank order."""
+    """Level-n conjugation orbits on full_group(ambient), each in rank order,
+    and each perm's orbit number: one `_label_orbits` pass seeded in rank
+    order numbers the orbits by least element, and one more fills them."""
     group = full_group(ambient)
     perms, labels = [g.perm for g in group], {}
     count = _label_orbits(ambient, SubgroupSpec.embedded(n), perms, labels)
     members = [[] for _ in range(count)]
     for g, i in zip(group, map(labels.__getitem__, perms)):
         members[i].append(g)
-    return tuple(Orbit(m[0], tuple(m)) for m in members)
+    return tuple(Orbit(m[0], tuple(m)) for m in members), labels
 
 
 def conjugacy_classes(n: int) -> OrbitDecomposition:
     """All conjugacy classes by brute force."""
-    return OrbitDecomposition(_orbit_partition(n, n))
+    return OrbitDecomposition(_orbit_partition(n, n)[0])
 
 
 def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
@@ -159,14 +159,13 @@ def orbit_decomposition(n: int, k: int) -> OrbitDecomposition:
     the orbit-sum bases take the bare partition.
     """
     ambient, spec = n + k, SubgroupSpec.embedded(n)
-    classes = conjugacy_classes(n)
-    orbits = _orbit_partition(n, ambient) if k else classes.orbits
-    orbit_of = {g.perm: i for i, o in enumerate(orbits) for g in o.elements}
+    orbits, orbit_of = _orbit_partition(n, ambient)
+    classes = conjugacy_classes(n).orbits if k else orbits
     # a label's set is (elements) * h, as perm bytes; a class element's table
     # is its perm, then `tail`: the fixed labels, padded
     tail = bytes(range(1 << n, 1 << ambient)).ljust(256 - (1 << n), b"\0")
     def bases():  # each (kind, base, indices) and its elements' tables
-        for cls in classes.orbits:
+        for cls in classes:
             yield (("class", embed_to(cls.representative, ambient), ()),
                    [x.perm + tail for x in cls.elements])
         for size in range(1, k + 1):
@@ -198,7 +197,7 @@ def centralizer_algebra_basis(n: int, k: int):
     free (disjoint supports); the report and the tests re-check commutation.
     """
     return tuple(AlgebraElement._trusted(n + k, dict.fromkeys(o.elements, 1))
-                 for o in _orbit_partition(n, n + k))
+                 for o in _orbit_partition(n, n + k)[0])
 
 
 def orbit_index(supports):

@@ -371,7 +371,7 @@ def counted_from_perms(monkeypatch):
 def test_unlisted_right_cosets_are_checked_but_never_ordered(monkeypatch):
     calls = counted_from_perms(monkeypatch)
     for n, l in [(1, 2), (2, 1)]:
-        assert cli.run("right-cosets", {"n": n, "l": l}, {}).verdict == "PASS"
+        assert cli.run("right-cosets", {"n": n, "l": l}).verdict == "PASS"
     assert calls == []
 
 
@@ -380,7 +380,7 @@ def test_unlisted_right_cosets_make_no_element_for_a_representative():
     # chain elements b (I empty) and the generator products (b = e), from
     # which the transversal is built, are ever interned
     reset_caches()
-    assert cli.run("right-cosets", {"n": 1, "l": 2}, {}).verdict == "PASS"
+    assert cli.run("right-cosets", {"n": 1, "l": 2}).verdict == "PASS"
     made = set(treegroup._pool)
     subsets = [I for size in range(4) for I in combinations((2, 3, 4), size)]
     reps = {(b, I): (b * beta_product(4, I)).perm
@@ -409,7 +409,7 @@ def test_verify_all_runs_no_listing(monkeypatch):
 
     for command, (handler, *rest) in list(_COMMANDS.items()):
         monkeypatch.setitem(_COMMANDS, command, (recorded(command, handler), *rest))
-    report = cli.run("verify-all", {}, {"seed": 1, "allow_large": True})
+    report = cli.run("verify-all", {"seed": 1, "allow_large": True})
     assert report.payload["failed"] == 0
     assert listed == []
     cli.render(report, "text")  # the report's own listing runs when rendered
@@ -429,6 +429,40 @@ def test_verification_error_report_keeps_its_parameters(monkeypatch, capsys):
     code, out = run_cli(capsys, "right-cosets", "1", "1")
     assert code == 1
     assert out.splitlines()[0] == "FAIL right-cosets n=1 l=1"
+
+
+@pytest.mark.parametrize("argv, arguments", [
+    ("right-cosets 1 2", [("n", 1), ("l", 2)]),
+    # flags in table order, not in the order typed
+    ("verify-all --allow-large --seed 7", [("seed", 7), ("allow_large", True)])])
+def test_one_argument_dict_from_dispatch_to_report(monkeypatch, argv, arguments):
+    command = argv.split()[0]
+    if command == "verify-all":  # the argument record, not the battery
+        monkeypatch.setitem(_COMMANDS, command, (
+            lambda seed, allow_large: (True, {}, lambda: ({}, [])),
+            *_COMMANDS[command][1:]))
+    passed, real_run = [], cli.run
+
+    def recorded(command, arguments):
+        passed.append(arguments)
+        return real_run(command, arguments)
+
+    monkeypatch.setattr(cli, "run", recorded)
+    verdict_line = " ".join(f"{name}={value}" for name, value in arguments)
+    report = cli.dispatch(build_parser().parse_args(argv.split()))
+    assert report.parameters is passed[-1]
+    assert list(report.parameters.items()) == arguments
+    assert cli.render(report, "text").startswith(f"PASS {command} {verdict_line}\n")
+
+    def failing(**arguments):
+        raise structure.VerificationError("mutant")
+
+    monkeypatch.setitem(_COMMANDS, command, (failing, *_COMMANDS[command][1:]))
+    report = cli.dispatch(build_parser().parse_args(argv.split()))
+    assert report.verdict == "FAIL"
+    assert report.parameters is passed[-1]
+    assert list(report.parameters.items()) == arguments
+    assert cli.render(report, "text").startswith(f"FAIL {command} {verdict_line}\n")
 
 
 def test_enumerate_chain_reads_the_enumerated_levels(monkeypatch, capsys):
@@ -585,10 +619,21 @@ def test_verify_all_reports_a_verification_error_and_runs_on(monkeypatch, capsys
 PAST_CAP = ["classes 5", "center 5", "orbits 4 1", "orbits 0 5",
             "centralizer-basis 3 2", "right-cosets 3 1", "double-cosets 4",
             "mackey 4", "d-gens 1 5", "d-gens 0 9", "power-table 4 2",
-            "power-table 9 2", "power-table 0 2"]
+            "power-table 9 2", "power-table 0 2", "presentation 5",
+            "tensor-basis 5 0 0", "end-basis 5 0 0", "opposite-check 4 0"]
+# One input at level 100 for each subcommand that takes positionals: each
+# guard runs before any arithmetic on the value typed (group_order(100)
+# would raise OverflowError).  Levels 30 to 60 would instead build an int of
+# gigabytes if a guard went, so none is tried.
+FAR_PAST_CAP = ["enumerate 100", "center 100", "classes 100", "class-count 100",
+                "right-cosets 100 0", "double-cosets 100", "orbits 100 0",
+                "centralizer-basis 100 0", "presentation 100", "mackey 100",
+                "tensor-basis 100 0 0", "end-basis 100 0 0", "d-gens 1 100",
+                "power-table 100 2", "opposite-check 100 0"]
 # the guard names the value typed, not a level some inner layer reached
 TYPED = {"d-gens 1 5": "got (1, 5)", "d-gens 0 9": "got (0, 9)",
-         "power-table 4 2": "got 4", "power-table 9 2": "got 9"}
+         "power-table 4 2": "got 4", "power-table 9 2": "got 9",
+         "d-gens 1 100": "got (1, 100)", "power-table 100 2": "got 100"}
 
 
 def test_guard_exit_codes(capsys):
@@ -596,7 +641,9 @@ def test_guard_exit_codes(capsys):
     assert main(["tensor-basis", "1", "1", "2"]) == 2
     assert main(["power-table", "1", "99"]) == 2
     capsys.readouterr()
-    for argv in map(str.split, PAST_CAP):
+    assert [argv.split()[0] for argv in FAR_PAST_CAP] == [
+        command for command in _COMMANDS if _positionals(command)]
+    for argv in map(str.split, PAST_CAP + FAR_PAST_CAP):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
@@ -903,7 +950,7 @@ def test_d_gens_commutation_failure_fails_the_verdict(monkeypatch, capsys):
 def test_verify_all_seed_changes_nothing_but_the_seed():
     # only the group-axiom spot check draws from the seed
     def payload(seed):
-        report = cli.run("verify-all", {}, {"seed": seed, "allow_large": False})
+        report = cli.run("verify-all", {"seed": seed, "allow_large": False})
         assert report.parameters == {"seed": seed, "allow_large": False}
         return {**report.payload, "seed": None}
 

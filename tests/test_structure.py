@@ -61,7 +61,8 @@ def test_class_count_rejects_negative():
 
 
 @pytest.mark.parametrize("call", [lambda: predicted_orbit_count_literal(1, -1),
-                                  lambda: group_centralizer(1, -1)])
+                                  lambda: group_centralizer(1, -1),
+                                  lambda: predicted_orbit_count(1, -1)])
 def test_negative_offset_is_refused(call):
     with pytest.raises(ValueError, match="^offset must be >= 0, got -1$") as caught:
         call()
@@ -154,8 +155,9 @@ def test_orbit_partition_is_the_orbit_of_each_uncovered_seed(n, ambient):
         if seed not in covered:
             expected.append(orbit(seed, spec))
             covered.update(expected[-1].elements)
-    partition = structure._orbit_partition(n, ambient)
+    partition, orbit_of = structure._orbit_partition(n, ambient)
     assert partition == tuple(expected)
+    assert orbit_of == {g.perm: i for i, o in enumerate(expected) for g in o.elements}
     for o in partition:
         assert o.representative is o.elements[0] == min(o.elements)
         assert all(a.rank < b.rank for a, b in zip(o.elements, o.elements[1:]))
