@@ -415,10 +415,9 @@ def render(report: Report, fmt: str) -> str:
         return buf.getvalue()
     lines = [f"{report.verdict} {report.subcommand} "
              + " ".join(f"{k}={v}" for k, v in report.parameters.items())]
-    if report.columns:
-        lines.append("  " + " | ".join(report.columns))
-        for row in rows:
-            lines.append("  " + " | ".join(str(cell) for cell in row))
+    lines.append("  " + " | ".join(report.columns))
+    for row in rows:
+        lines.append("  " + " | ".join(str(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 

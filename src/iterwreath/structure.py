@@ -8,7 +8,7 @@ decomposition built here re-checks its own partition properties.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 
 from .algebra import AlgebraElement, Orbit, _label_orbits, orbit
@@ -102,9 +102,10 @@ def group_centralizer(n: int, k: int):
         raise ValueError(f"offset must be >= 0, got {k}")
     if n == 0:
         return full_group(k)
+    below = group_centralizer(n - 1, k + 1)  # full_group(n + k) checks the cap first
     t = SubgroupSpec.embedded(n).generators(n + k)[-1]
     t_perm, t_table = t.perm, table(t.perm)  # x * t against t * x
-    return tuple(x for x in group_centralizer(n - 1, k + 1)
+    return tuple(x for x in below
                  if t_perm.translate(x.perm.ljust(256, b"\0"))
                  == x.perm.translate(t_table))
 
@@ -397,7 +398,7 @@ class PresentationReport(namedtuple("PresentationReport", "instances untestable"
 
     Relation symbols are indexed from the root down (symbol 1 is the root
     swap): family 3 only closes under that indexing, which brute force
-    confirms.  Instances whose literal index range runs past the deepest
+    confirms.  Instances whose word names a symbol past the deepest
     generator are recorded as untestable instead of evaluated.
     """
 
@@ -413,31 +414,22 @@ class PresentationReport(namedtuple("PresentationReport", "instances untestable"
 
 
 def check_presentation(n: int) -> PresentationReport:
-    """Evaluate the defining relations in the permutation representation."""
+    """Evaluate the defining relations in the permutation representation: one
+    row (family, params, word) per instance, the word in root-first symbols,
+    holds iff the square of its word's product is the identity."""
     if n > MAX_ENUM_LEVEL:
         raise LevelTooLarge(f"presentation check capped at level {MAX_ENUM_LEVEL}")
-
-    def sym(i):
-        # root-first indexing of relation symbols
-        return beta(n, n + 1 - i)
-
-    e = identity(n)
-    instances = []
-    untestable = []
-    for i in range(1, n + 1):
-        instances.append(RelationInstance(1, (i,), sym(i) * sym(i) == e))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                w = sym(i) * sym(j) * sym(i) * sym(j)
-                instances.append(RelationInstance(2, (i, j), (w * w).is_identity))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n - i + 1):
-                if j + k > n:
-                    untestable.append((i, j, k))
-                    continue
-                w = sym(i) * sym(j) * sym(i) * sym(j + k)
-                instances.append(
-                    RelationInstance(3, (i, j, k), (w * w).is_identity))
+    symbols = range(1, n + 1)
+    rows = [(1, (i,), (i,)) for i in symbols]
+    rows += [(2, (i, j), (i, j, i, j)) for i in symbols for j in symbols if i != j]
+    rows += [(3, (i, j, k), (i, j, i, j + k)) for i in symbols
+             for j in symbols if i < j for k in range(1, n - i + 1)]
+    sym = {i: beta(n, n + 1 - i) for i in symbols}  # symbol 1 is the root swap
+    instances, untestable = [], []
+    for family, params, word in rows:
+        if max(word) > n:
+            untestable.append(params)
+        else:
+            w = reduce(TreeAutomorphism.__mul__, map(sym.__getitem__, word))
+            instances.append(RelationInstance(family, params, (w * w).is_identity))
     return PresentationReport(tuple(instances), tuple(untestable))

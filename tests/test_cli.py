@@ -39,12 +39,13 @@ def test_center_json_report(capsys):
 
 # One `structure` function's replacement, as source, so that a fresh process
 # can rebind it too: the closed-form center with its last element moved one
-# rank on, and a center that raises.
+# rank on, a center that raises, and leaf-first generator symbols.
 MUTANTS = {
     "center_closed_form": "lambda n, f=structure.center_closed_form: f(n)[:-1] + "
                           "(structure.TreeAutomorphism.from_word("
                           "bin(f(n)[-1].rank + 1)[3:]),)",
     "center": "lambda n: 1 // 0",
+    "beta": "lambda level, i, f=structure.beta: f(level, level + 1 - i)",
 }
 
 
@@ -158,6 +159,14 @@ def test_presentation_fails_on_a_relation_that_fails(monkeypatch, capsys):
     monkeypatch.setattr(structure, "check_presentation", broken)
     payload = assert_fails(capsys, ["presentation", "2"], "FAIL presentation n=2")
     assert payload["failures"] == [[1, [1]]]
+
+
+def test_presentation_fails_with_leaf_first_symbols(monkeypatch, capsys):
+    # check_presentation reads structure's beta, so the swap reaches it:
+    # with symbol 1 the deepest swap, family 3 fails from level 3 on
+    mutate(monkeypatch, "beta")
+    payload = assert_fails(capsys, ["presentation", "3"], "FAIL presentation n=3")
+    assert payload["failures"] == [[3, [1, 2, 1]]]
 
 
 def test_opposite_check_fails_on_a_perturbed_right_table(monkeypatch, capsys):
@@ -616,7 +625,7 @@ def test_verify_all_reports_a_verification_error_and_runs_on(monkeypatch, capsys
 # One input just past each cap that the enumeration under the command
 # enforces (full_group, SubgroupSpec.elements, algebra.orbit), and past
 # the ranges that power-table and d-gens check themselves.
-PAST_CAP = ["classes 5", "center 5", "orbits 4 1", "orbits 0 5",
+PAST_CAP = ["classes 5", "center 5", "center 9", "orbits 4 1", "orbits 0 5",
             "centralizer-basis 3 2", "right-cosets 3 1", "double-cosets 4",
             "mackey 4", "d-gens 1 5", "d-gens 0 9", "power-table 4 2",
             "power-table 9 2", "power-table 0 2", "presentation 5",
@@ -633,7 +642,8 @@ FAR_PAST_CAP = ["enumerate 100", "center 100", "classes 100", "class-count 100",
 # the guard names the value typed, not a level some inner layer reached
 TYPED = {"d-gens 1 5": "got (1, 5)", "d-gens 0 9": "got (0, 9)",
          "power-table 4 2": "got 4", "power-table 9 2": "got 9",
-         "d-gens 1 100": "got (1, 100)", "power-table 100 2": "got 100"}
+         "d-gens 1 100": "got (1, 100)", "power-table 100 2": "got 100",
+         "center 9": "level 9 has", "center 100": "level 100 has"}
 
 
 def test_guard_exit_codes(capsys):

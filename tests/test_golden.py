@@ -50,6 +50,7 @@ COMMANDS = [
     "centralizer-basis 1 1",
     "centralizer-basis 1 2",
     "presentation 3",
+    "presentation 4",
     "mackey 2",
     "tensor-basis 2 1 1",
     "end-basis 2 1 1",

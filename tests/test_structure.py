@@ -34,7 +34,7 @@ from iterwreath import (
     predicted_orbit_count_literal,
     right_coset_reps,
 )
-from iterwreath import structure
+from iterwreath import structure, treegroup
 from iterwreath.treegroup import reset_caches
 
 from cycle_notation import elem
@@ -535,14 +535,18 @@ def test_presentation_untestable_range():
     assert all(j + k > 3 for _, j, k in report.untestable)
 
 
-def test_relation_family_three_needs_root_first_indexing():
-    # with symbol 1 mapped to the deepest swap instead of the root swap the
-    # same instance is an order-4 element, so the family only closes in the
-    # root-first indexing that check_presentation uses
-    leaf_first = beta(3, 1) * beta(3, 2) * beta(3, 1) * beta(3, 3)
-    assert leaf_first * leaf_first != identity(3)
-    root_first = beta(3, 3) * beta(3, 2) * beta(3, 3) * beta(3, 1)
-    assert root_first * root_first == identity(3)
+def test_relation_family_three_needs_root_first_indexing(monkeypatch):
+    # with symbol 1 mapped to the deepest swap instead of the root swap,
+    # family 3 fails from level 3 on, so the family only closes in the
+    # root-first indexing; check_presentation reads structure's beta
+    monkeypatch.setattr(structure, "beta",
+                        lambda level, i: treegroup.beta(level, level + 1 - i))
+    failing = {n: [(inst.family, inst.params)
+                   for inst in check_presentation(n).instances if not inst.holds]
+               for n in range(5)}
+    assert failing == {0: [], 1: [], 2: [], 3: [(3, (1, 2, 1))],
+                       4: [(3, (1, 2, 1)), (3, (1, 2, 2)), (3, (1, 3, 1)),
+                           (3, (2, 3, 1))]}
 
 
 def test_presentation_spec_instances():
