@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 
 from . import algebra, structure, treegroup
-from .endo import HomSpaceEmpty
 from .structure import VerificationError
-from .treegroup import SubgroupSpec, full_group, group_order
+from .treegroup import HomSpaceEmpty, SubgroupSpec, full_group, group_order
 
 
 def _sweep(run, command, cases, detail):

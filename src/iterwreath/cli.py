@@ -29,6 +29,7 @@ from collections import namedtuple
 from . import algebra, endo, mackey, structure
 from .structure import VerificationError
 from .treegroup import (
+    HomSpaceEmpty,
     LevelTooLarge,
     SubgroupSpec,
     UsageError,
@@ -43,7 +44,7 @@ MAX_TABLE_DIMENSION = 12
 MAX_CLASS_COUNT_LEVEL = 15
 DEFAULT_SEED = 2024
 
-GUARD_ERRORS = (LevelTooLarge, endo.HomSpaceEmpty, UsageError)
+GUARD_ERRORS = (LevelTooLarge, HomSpaceEmpty, UsageError)
 
 
 class Report(namedtuple("Report", "subcommand parameters verdict payload "

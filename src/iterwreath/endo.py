@@ -33,6 +33,7 @@ from .structure import (
 )
 from .treegroup import (
     MAX_ENUM_LEVEL,
+    HomSpaceEmpty,
     LevelTooLarge,
     SubgroupSpec,
     TreeAutomorphism,
@@ -52,10 +53,6 @@ from .treegroup import (
 MAX_POWER_EXPONENT = 8
 # Tensor bases are built one entry per tensor; 2**23 is end-basis 4 1 1.
 MAX_TENSORS = 1 << 23
-
-
-class HomSpaceEmpty(ValueError):
-    """More restrictions than the level allows: the hom space is empty."""
 
 
 class TensorBasisElement(namedtuple("TensorBasisElement",

@@ -53,6 +53,10 @@ class UsageError(ValueError):
     """A command argument lies outside what the command accepts."""
 
 
+class HomSpaceEmpty(ValueError):
+    """More restrictions than the level allows: the hom space is empty."""
+
+
 class NotATreeAutomorphism(ValueError):
     """A permutation does not preserve the binary block structure."""
 

@@ -1,6 +1,6 @@
 """Cycle notation for test inputs, like "(1 3)(2 4)" on the labels 1..2**level."""
 
-from iterwreath import TreeAutomorphism
+from iterwreath.treegroup import TreeAutomorphism
 
 
 def images(degree, text):

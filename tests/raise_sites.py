@@ -16,9 +16,8 @@ import sys
 from pathlib import Path
 
 import iterwreath
-from iterwreath.endo import HomSpaceEmpty
 from iterwreath.structure import VerificationError
-from iterwreath.treegroup import (LevelMismatch, LevelTooLarge,
+from iterwreath.treegroup import (HomSpaceEmpty, LevelMismatch, LevelTooLarge,
                                   NotATreeAutomorphism, UsageError)
 
 PACKAGE = Path(iterwreath.__file__).resolve().parent

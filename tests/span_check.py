@@ -7,15 +7,10 @@ centralizer algebra.
 
 from fractions import Fraction
 
-from iterwreath import (
-    AlgebraElement,
-    conjugacy_classes,
-    d_generator_table,
-    embed_to,
-    group_order,
-    identity,
-)
-from iterwreath.structure import class_count
+from iterwreath.algebra import AlgebraElement
+from iterwreath.endo import d_generator_table
+from iterwreath.structure import class_count, conjugacy_classes
+from iterwreath.treegroup import embed_to, group_order, identity
 
 
 class _Span:

@@ -5,8 +5,8 @@ tables; this acts on one TensorBasisElement at a time instead, so the tests
 can compare the two.
 """
 
-from iterwreath import TensorBasisElement, TreeAutomorphism, embed_to
-from iterwreath.endo import _tensor_index
+from iterwreath.endo import TensorBasisElement, _tensor_index
+from iterwreath.treegroup import TreeAutomorphism, embed_to
 
 
 def conj_action_tensor(h: TreeAutomorphism, t: TensorBasisElement) -> TensorBasisElement:

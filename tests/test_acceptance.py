@@ -11,41 +11,42 @@ import time
 from pathlib import Path
 
 
-from iterwreath import (
-    AlgebraElement,
-    HomSpaceEmpty,
-    SubgroupSpec,
-    TreeAutomorphism,
-    beta,
+from iterwreath.algebra import AlgebraElement, centralizes, orbit, orbit_sum
+from iterwreath.cli import main
+from iterwreath.endo import (
+    end_ind_res_basis,
+    opposite_check,
+    power_table,
+    tensor_basis,
+)
+from iterwreath.mackey import mackey_decomposition
+from iterwreath.structure import (
     center,
     center_closed_form,
     centralizer_algebra_basis,
-    centralizes,
     check_presentation,
     class_count,
     conjugacy_classes,
     double_cosets,
-    embed_to,
-    end_ind_res_basis,
     expand_in_orbit_basis,
-    full_group,
     group_centralizer,
-    group_order,
-    identity,
-    mackey_decomposition,
-    opposite_check,
-    orbit,
     orbit_decomposition,
     orbit_index,
-    orbit_sum,
-    power_table,
     predicted_orbit_count,
     predicted_orbit_count_literal,
     right_coset_reps,
-    tensor_basis,
 )
-from iterwreath.cli import main
-from iterwreath.treegroup import reset_caches
+from iterwreath.treegroup import (
+    HomSpaceEmpty,
+    SubgroupSpec,
+    TreeAutomorphism,
+    beta,
+    embed_to,
+    full_group,
+    group_order,
+    identity,
+    reset_caches,
+)
 
 
 def report(number, ok, detail, capsys):

@@ -5,21 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from iterwreath import (
+from iterwreath.algebra import (
     AlgebraElement,
+    centralizes,
+    class_sum,
+    orbit,
+    orbit_sum,
+)
+from iterwreath.treegroup import (
     LevelMismatch,
     LevelTooLarge,
     SubgroupSpec,
     beta,
-    centralizes,
-    class_sum,
     embed_to,
     full_group,
     identity,
-    orbit,
-    orbit_sum,
+    reset_caches,
 )
-from iterwreath.treegroup import reset_caches
 
 from cycle_notation import elem
 

@@ -11,21 +11,23 @@ from itertools import combinations, product
 
 import pytest
 
-from iterwreath import (
+from iterwreath.algebra import orbit
+from iterwreath.mackey import conjugate_intersection
+from iterwreath.structure import (
+    coset_rep_pairs,
+    double_cosets,
+    group_centralizer,
+    right_coset_reps,
+)
+from iterwreath.treegroup import (
     SubgroupSpec,
     beta,
     beta_product,
-    conjugate_intersection,
-    double_cosets,
     embed_to,
     full_group,
-    group_centralizer,
     hat_embed,
     identity,
-    orbit,
-    right_coset_reps,
 )
-from iterwreath.structure import coset_rep_pairs
 
 
 def subgroup_elements_reference(spec, ambient):

@@ -13,11 +13,12 @@ from types import SimpleNamespace
 import pytest
 
 import iterwreath
-from iterwreath import (AlgebraElement, SubgroupSpec, algebra, battery, beta,
-                        beta_product, cli, endo, group_order, identity, mackey,
-                        structure, treegroup)
+from iterwreath import (algebra, battery, cli, endo, mackey, structure,
+                        treegroup)
+from iterwreath.algebra import AlgebraElement
 from iterwreath.cli import _COMMANDS, _flags, _positionals, build_parser, main
-from iterwreath.treegroup import reset_caches
+from iterwreath.treegroup import (SubgroupSpec, beta, beta_product,
+                                  group_order, identity, reset_caches)
 
 
 def run_cli(capsys, *argv):
@@ -579,7 +580,7 @@ def test_end_bases_check_fails_when_over_restriction_is_not_refused(
     def accepting(n, k, l):
         try:
             return handler(n=n, k=k, l=l)
-        except endo.HomSpaceEmpty:
+        except treegroup.HomSpaceEmpty:
             return True, {"size": 0}, lambda: ({}, [])
 
     monkeypatch.setitem(_COMMANDS, "tensor-basis",
@@ -732,7 +733,8 @@ def test_program_fault_is_not_a_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("error", [treegroup.LevelTooLarge,
-                                   treegroup.UsageError, endo.HomSpaceEmpty])
+                                   treegroup.UsageError,
+                                   treegroup.HomSpaceEmpty])
 def test_guard_error_inside_verify_all_is_a_program_fault(capsys, monkeypatch,
                                                           error):
     # verify-all has no argument that a guard could reject, so a guard error
@@ -1079,6 +1081,31 @@ def test_cold_start_imports_stay_small():
                          "iterwreath.battery"}
 
 
+def test_importing_one_layer_loads_no_other_layer():
+    # the element layer imports no other layer, and the package re-exports none
+    package_root = str(Path(iterwreath.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import iterwreath.treegroup; print(*sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name for name in proc.stdout.split()
+              if name.startswith("iterwreath.")}
+    assert loaded == {"iterwreath.treegroup"}
+
+
+def test_the_package_binds_no_public_name():
+    # each name is imported from the module that defines it
+    package_root = str(Path(iterwreath.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import iterwreath; "
+            "print(*[name for name in vars(iterwreath) "
+            "if not name.startswith('_')])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_a_one_shot_command_with_int_coefficients_loads_no_fractions():
     code, out, err = fresh_entry(["end-basis", "2", "2", "2", "--format", "json"],
                                  options=["-X", "importtime"])
@@ -1092,7 +1119,8 @@ def test_a_one_shot_command_with_int_coefficients_loads_no_fractions():
 def test_fractions_are_imported_with_the_first_fraction():
     package_root = str(Path(iterwreath.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
-            "from iterwreath import SubgroupSpec, beta, orbit_sum\n"
+            "from iterwreath.algebra import orbit_sum\n"
+            "from iterwreath.treegroup import SubgroupSpec, beta\n"
             "x = orbit_sum(beta(2, 1), SubgroupSpec.embedded(2))\n"
             "y = (x * x).scaled(3) - x\n"
             "print(*sorted({type(c).__name__ for c in y.terms.values()}),"

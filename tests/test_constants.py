@@ -12,19 +12,20 @@ from collections import Counter
 
 import pytest
 
-from iterwreath import (
-    TreeAutomorphism,
-    centralizer_algebra_basis,
-    end_ind_res_basis,
-    expand_in_orbit_basis,
-    identity,
-    opposite_check,
-    orbit_index,
-)
 from iterwreath import endo, structure
-from iterwreath.endo import TensorBasisElement, compose_tensor_sums
-from iterwreath.structure import structure_constants
-from iterwreath.treegroup import reset_caches
+from iterwreath.endo import (
+    TensorBasisElement,
+    compose_tensor_sums,
+    end_ind_res_basis,
+    opposite_check,
+)
+from iterwreath.structure import (
+    centralizer_algebra_basis,
+    expand_in_orbit_basis,
+    orbit_index,
+    structure_constants,
+)
+from iterwreath.treegroup import TreeAutomorphism, identity, reset_caches
 
 
 def dense(cell, dim):

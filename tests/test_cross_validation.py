@@ -12,16 +12,9 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup
 
-from iterwreath import (
-    SubgroupSpec,
-    beta,
-    center,
-    conjugacy_classes,
-    full_group,
-    group_centralizer,
-    group_order,
-    orbit,
-)
+from iterwreath.algebra import orbit
+from iterwreath.structure import center, conjugacy_classes, group_centralizer
+from iterwreath.treegroup import SubgroupSpec, beta, full_group, group_order
 
 
 def as_sympy(g):

@@ -4,37 +4,39 @@ from itertools import product
 
 import pytest
 
-from iterwreath import (
-    AlgebraElement,
+from iterwreath import endo
+from iterwreath.algebra import AlgebraElement, centralizes, orbit, orbit_sum
+from iterwreath.endo import (
+    TensorBasisElement,
+    compose_tensor_sums,
+    d_generator_table,
+    end_basis_closure,
+    end_ind_res_basis,
+    opposite_check,
+    power_table,
+    tensor_basis,
+)
+from iterwreath.structure import (
+    VerificationError,
+    algebra_constants,
+    centralizer_algebra_basis,
+    coset_rep_pairs,
+)
+from iterwreath.treegroup import (
     HomSpaceEmpty,
     LevelTooLarge,
     SubgroupSpec,
+    TreeAutomorphism,
     UsageError,
-    VerificationError,
+    _pool,
     beta,
-    centralizer_algebra_basis,
-    centralizes,
-    d_generator_table,
     embed_to,
-    end_ind_res_basis,
     factorize,
     full_group,
     group_order,
     identity,
-    opposite_check,
-    orbit,
-    orbit_sum,
-    power_table,
-    tensor_basis,
+    reset_caches,
 )
-from iterwreath import endo
-from iterwreath.endo import (
-    TensorBasisElement,
-    compose_tensor_sums,
-    end_basis_closure,
-)
-from iterwreath.structure import algebra_constants, coset_rep_pairs
-from iterwreath.treegroup import TreeAutomorphism, _pool, reset_caches
 
 import span_check
 from cycle_notation import elem

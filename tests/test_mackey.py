@@ -2,19 +2,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from iterwreath import (
+from iterwreath import mackey
+from iterwreath.mackey import conjugate_intersection, mackey_decomposition
+from iterwreath.structure import VerificationError, double_cosets
+from iterwreath.treegroup import (
     LevelTooLarge,
     SubgroupSpec,
-    VerificationError,
     beta,
-    conjugate_intersection,
-    double_cosets,
     group_order,
     identity,
-    mackey_decomposition,
     perm_embed,
 )
-from iterwreath import mackey
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

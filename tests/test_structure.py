@@ -5,37 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterwreath import (
+from iterwreath import structure, treegroup
+from iterwreath.algebra import (
     AlgebraElement,
-    LevelTooLarge,
     Orbit,
-    SubgroupSpec,
+    centralizes,
+    class_sum,
+    orbit,
+)
+from iterwreath.structure import (
     VerificationError,
-    beta,
     center,
     center_closed_form,
     centralizer_algebra_basis,
-    centralizes,
     check_presentation,
     class_count,
-    class_sum,
     conjugacy_classes,
     double_cosets,
-    embed_to,
     expand_in_orbit_basis,
-    full_group,
     group_centralizer,
-    group_order,
-    identity,
-    orbit,
     orbit_decomposition,
     orbit_index,
     predicted_orbit_count,
     predicted_orbit_count_literal,
     right_coset_reps,
 )
-from iterwreath import structure, treegroup
-from iterwreath.treegroup import reset_caches
+from iterwreath.treegroup import (
+    LevelTooLarge,
+    SubgroupSpec,
+    beta,
+    embed_to,
+    full_group,
+    group_order,
+    identity,
+    reset_caches,
+)
 
 from cycle_notation import elem
 

@@ -6,13 +6,18 @@ from itertools import product
 
 import pytest
 
-from iterwreath import (
-    AlgebraElement,
+from iterwreath import treegroup
+from iterwreath.algebra import AlgebraElement
+from iterwreath.structure import coset_rep_pairs
+from iterwreath.treegroup import (
     LevelMismatch,
     LevelTooLarge,
+    MAX_BYTE_LEVEL,
+    MAX_ENUM_LEVEL,
     NotATreeAutomorphism,
     SubgroupSpec,
     TreeAutomorphism,
+    _swap_word,
     beta,
     beta_product,
     embed_to,
@@ -22,10 +27,8 @@ from iterwreath import (
     hat_embed,
     identity,
     perm_embed,
+    reset_caches,
 )
-from iterwreath import treegroup
-from iterwreath.structure import coset_rep_pairs
-from iterwreath.treegroup import MAX_BYTE_LEVEL, MAX_ENUM_LEVEL, _swap_word, reset_caches
 
 from cycle_notation import elem, images
 
